@@ -18,10 +18,10 @@ test:
 # maxcover (CoverageOf/MemoryBytes run concurrently with each other) and
 # graph (shared immutable CSR read from every worker) joined the race
 # matrix alongside the original four concurrent hot paths; the pluggable
-# model pools (sir, kthresh) shard their sampling across workers the
-# same way lt does.
+# model pools (sir, kthresh, and the simpool kernel they share) shard
+# their sampling across workers the same way lt does.
 race:
-	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/sir ./internal/model/kthresh
+	$(GO) test -race ./internal/prr ./internal/diffusion ./internal/engine ./internal/lt ./internal/maxcover ./internal/graph ./internal/model/simpool ./internal/model/sir ./internal/model/kthresh
 
 # lint runs the project's own invariant analyzers (cmd/kboostvet: see
 # internal/analysis) plus staticcheck and govulncheck when they are on
@@ -46,9 +46,11 @@ lint:
 # boundary must never poison the pool cache, retries must be
 # bit-identical to uninterrupted runs, and the HTTP layer must shed,
 # degrade, and drain correctly under pressure (internal/faults,
-# chaos_test.go, server_robustness_test.go).
+# chaos_test.go, server_robustness_test.go); and a PATCH that empties a
+# pool entry between a boost's write and read phases must never reach
+# selection (downgrade_race_test.go).
 chaos-short:
-	$(GO) test -race -run 'TestChaos|TestHealthAndReady|TestColdOverflow|TestEstimateDegrades|TestEstimateSheds|TestShardPanic|TestClientDisconnect' -v ./internal/engine
+	$(GO) test -race -run 'TestChaos|TestHealthAndReady|TestColdOverflow|TestEstimateDegrades|TestEstimateSheds|TestShardPanic|TestClientDisconnect|TestDowngrade' -v ./internal/engine
 
 # fuzz-short smoke-fuzzes the graph codecs (the untrusted-input surface
 # of the upload and PATCH endpoints); go only accepts one fuzz target

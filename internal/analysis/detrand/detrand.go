@@ -42,6 +42,10 @@ var DefaultScope = []string{
 	"internal/maxcover",
 	"internal/diffusion",
 	"internal/rng",
+	"internal/model/simpool",
+	"internal/model/sir",
+	"internal/model/kthresh",
+	"internal/approx",
 }
 
 // InScope reports whether a module-relative package path is

@@ -72,8 +72,8 @@ var ErrUnknownGraph = errors.New("unknown graph id")
 
 // Options configures an Engine.
 type Options struct {
-	// MaxPools bounds the PRR-pool LRU cache by entry count (default 8,
-	// minimum 1).
+	// MaxPools bounds the pool LRU cache — PRR pools and every sim
+	// mode's profile pools alike — by entry count (default 8, minimum 1).
 	MaxPools int
 	// MaxPoolBytes bounds the cache by resident pool bytes, the
 	// engine's main memory knob now that pool sizes vary by orders of
@@ -127,7 +127,7 @@ func (o Options) withDefaults() Options {
 // Stats is a snapshot of the engine's counters.
 type Stats struct {
 	Graphs int `json:"graphs"` // registered graph snapshots
-	Pools  int `json:"pools"`  // currently cached PRR pools
+	Pools  int `json:"pools"`  // currently cached pools, PRR and sim
 	// PoolBytes is the summed resident size of the cached pools (the
 	// quantity MaxPoolBytes evicts on) — exact arena byte counts since
 	// pool storage went flat, so operators can size MaxPoolBytes against
@@ -713,12 +713,14 @@ type BoostResult struct {
 	// because the query's K exceeded its generation budget.
 	Rebuilt bool
 	// NewSamples is the number of samples generated by this query:
-	// PRR-graphs for the PRR modes, threshold profiles for mode "lt"
-	// (both surface as new_prr_graphs in the HTTP response).
+	// PRR-graphs for the PRR modes, profiles for the sim modes ("lt",
+	// "sir", "kthresh"; both surface as new_prr_graphs in the HTTP
+	// response).
 	NewSamples int
 	// PoolK is the generation budget of the pool that served the query.
-	// Always 0 for mode "lt": LT profiles are k-independent, so an LT
-	// pool has no generation budget and serves every k.
+	// Always 0 for the sim modes ("lt", "sir", "kthresh"): profiles are
+	// k-independent, so a sim pool has no generation budget and serves
+	// every k.
 	PoolK int
 	// GraphVersion is the snapshot version the query computed against.
 	GraphVersion uint64
@@ -733,10 +735,11 @@ func canonicalSeeds(seeds []int32) []int32 {
 }
 
 // poolKey builds a cache key from the graph id and snapshot version, a
-// mode tag ("m0"/"m1" for the PRR materialization modes, "lt" for LT
-// profile pools) and the canonical seed set. Embedding the version
-// means a replaced snapshot's pools can never be found by queries
-// against the new one, even if a sweep raced an in-flight insert.
+// mode tag ("m0"/"m1" for the PRR materialization modes, the model key
+// such as "lt" or "sir:r=0.5" for sim profile pools) and the canonical
+// seed set. Embedding the version means a replaced snapshot's pools can
+// never be found by queries against the new one, even if a sweep raced
+// an in-flight insert.
 func poolKey(graphID string, version uint64, modeTag string, seeds []int32) string {
 	var b strings.Builder
 	b.WriteString(graphID)
@@ -902,7 +905,6 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 
 	e.ctr.boostQueries.Add(1)
 	ent := e.acquireEntry(key, req.GraphID, version)
-
 	out := &BoostResult{GraphVersion: version}
 
 	// Fast path: a fully warm entry — pool built, budget covers K, this
@@ -910,33 +912,74 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 	// read lock lets concurrent warm queries on the same pool select in
 	// parallel instead of serializing.
 	rlockEntry(ent)
-	if ent.pool != nil && ent.pool.K() >= req.K && ent.sized[sizeKey] {
+	if ent.prrCovers(opt.K, sizeKey) {
 		defer ent.mu.RUnlock()
 		out.CacheHit = true
 		e.ctr.poolHits.Add(1)
 		return e.finishBoost(ctx, ent, out, opt, pre)
 	}
 	ent.mu.RUnlock()
+	if err := e.growPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
+		return nil, err
+	}
+	if err := e.rlockPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
+		return nil, err
+	}
+	defer ent.mu.RUnlock()
+	return e.finishBoost(ctx, ent, out, opt, pre)
+}
 
+// rlockPRRPool is the read phase that follows growPRRPool: it takes
+// ent.mu for reading once the entry holds a pool covering the request.
+// The downgrade is not atomic: a PATCH's repairEntry can empty the
+// entry between the write phase's Unlock and this RLock, so a failed
+// re-check runs the write phase again. Another query growing the pool
+// in the gap is harmless — selection then runs against the larger pool.
+func (e *Engine) rlockPRRPool(ctx context.Context, ent *poolEntry, rg *reqGraph, seeds []int32, opt core.Options, spec *modeSpec, sizeKey string, out *BoostResult) error {
+	for {
+		ent.mu.RLock()
+		if ent.prrCovers(opt.K, sizeKey) {
+			return nil
+		}
+		ent.mu.RUnlock()
+		// Only the write phase whose pool is served reports.
+		out.CacheHit, out.Rebuilt, out.NewSamples = false, false, 0
+		if err := e.growPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
+			return err
+		}
+	}
+}
+
+// prrCovers reports whether ent holds a PRR pool with a budget of at
+// least k and the sizing sizeKey applied.
+// kboost:holds mu
+func (ent *poolEntry) prrCovers(k int, sizeKey string) bool {
+	return ent.pool != nil && ent.pool.K() >= k && ent.sized[sizeKey]
+}
+
+// growPRRPool is BoostContext's write phase: under ent.mu it builds
+// the pool, rebuilds it for a larger budget, or applies a new sizing,
+// then releases the lock (on every path).
+func (e *Engine) growPRRPool(ctx context.Context, ent *poolEntry, rg *reqGraph, seeds []int32, opt core.Options, spec *modeSpec, sizeKey string, out *BoostResult) error {
 	lockEntry(ent)
 	if err := ctx.Err(); err != nil {
 		// Canceled while blocked on the singleflight lock: nothing was
 		// built on our behalf, so just walk away. The entry belongs to
 		// whoever is building (or will build) under it.
 		ent.mu.Unlock()
-		return nil, e.noteRequestErr(err)
+		return e.noteRequestErr(err)
 	}
 	switch {
 	case ent.pool == nil:
 		g2, err := rg.get()
 		if err != nil {
 			e.abandonColdBuild(ent)
-			return nil, err
+			return err
 		}
 		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
 		if err != nil {
 			e.abandonColdBuild(ent)
-			return nil, e.noteRequestErr(err)
+			return e.noteRequestErr(err)
 		}
 		ent.pool = pool
 		ent.derived = !spec.content.Identity()
@@ -945,19 +988,19 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 		out.NewSamples = pool.Size()
 		e.ctr.poolMisses.Add(1)
 		e.ctr.prrGenerated.Add(int64(out.NewSamples))
-	case ent.pool.K() < req.K:
+	case ent.pool.K() < opt.K:
 		// Generation-time pruning depends on k; a bigger budget needs a
 		// rebuild. The new pool serves this and every smaller k after it.
 		// On failure keep the old pool — it still serves smaller k.
 		g2, err := rg.get()
 		if err != nil {
 			ent.mu.Unlock()
-			return nil, err
+			return err
 		}
 		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
 		if err != nil {
 			ent.mu.Unlock()
-			return nil, e.noteRequestErr(err)
+			return e.noteRequestErr(err)
 		}
 		ent.pool = pool
 		ent.derived = !spec.content.Identity()
@@ -974,9 +1017,10 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 		// keeps serving its current sizings, so the entry stays.
 		var added int
 		if !ent.sized[sizeKey] {
+			var err error
 			if added, err = core.GrowPoolContext(ctx, ent.pool, opt); err != nil {
 				ent.mu.Unlock()
-				return nil, e.noteRequestErr(err)
+				return e.noteRequestErr(err)
 			}
 			ent.sized[sizeKey] = true
 		}
@@ -989,13 +1033,8 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 		}
 	}
 	e.accountBytes(ent, ent.pool.MemoryEstimate())
-	// Downgrade to a read lock for selection. Another query may grow the
-	// pool in the gap; selection then simply runs against the larger
-	// pool, which is the same behavior concurrent queries always had.
 	ent.mu.Unlock()
-	ent.mu.RLock()
-	defer ent.mu.RUnlock()
-	return e.finishBoost(ctx, ent, out, opt, pre)
+	return nil
 }
 
 // lockEntry acquires ent.mu for writing while counting the caller in
@@ -1232,32 +1271,71 @@ func (e *Engine) boostSim(ctx context.Context, spec *modeSpec, req BoostRequest)
 // of freshly generated profiles. The content-derived graph is only
 // materialized on a cold build — warm queries never pay the derive.
 func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, version uint64, seeds []int32) (ent *poolEntry, hit bool, added int, err error) {
-	sims := req.Sims
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
 	key := poolKey(req.GraphID, version, spec.tag(), seeds)
-
 	ent = e.acquireEntry(key, req.GraphID, version)
 
 	// Fast path: the pool exists and already holds enough profiles —
 	// concurrent warm queries share the read lock and run in parallel.
 	rlockEntry(ent)
-	if ent.sim != nil && ent.sim.NumProfiles() >= sims {
+	if ent.simCovers(req.Sims) {
 		e.ctr.poolHits.Add(1)
 		sc.poolHits.Add(1)
 		return ent, true, 0, nil
 	}
 	ent.mu.RUnlock()
+	if hit, added, err = e.growSimPool(ctx, ent, spec, sc, req, rg, seeds); err != nil {
+		return nil, false, 0, err
+	}
+	if hit, added, err = e.rlockSimPool(ctx, ent, spec, sc, req, rg, seeds, hit, added); err != nil {
+		return nil, false, 0, err
+	}
+	return ent, hit, added, nil
+}
 
+// rlockSimPool is the read phase that follows growSimPool: it takes
+// ent.mu for reading once the entry holds a pool covering the request,
+// passing through the write phase's hit and added. The downgrade is not
+// atomic: a PATCH's repairEntry can empty the entry between the write
+// phase's Unlock and this RLock, so a failed re-check runs the write
+// phase again (whose hit and added then stand).
+func (e *Engine) rlockSimPool(ctx context.Context, ent *poolEntry, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, seeds []int32, hit bool, added int) (bool, int, error) {
+	for {
+		ent.mu.RLock()
+		if ent.simCovers(req.Sims) {
+			return hit, added, nil
+		}
+		ent.mu.RUnlock()
+		var err error
+		if hit, added, err = e.growSimPool(ctx, ent, spec, sc, req, rg, seeds); err != nil {
+			return false, 0, err
+		}
+	}
+}
+
+// simCovers reports whether ent holds a sim pool with at least sims
+// profiles (any sim pool, when sims <= 0).
+// kboost:holds mu
+func (ent *poolEntry) simCovers(sims int) bool {
+	return ent.sim != nil && ent.sim.NumProfiles() >= sims
+}
+
+// growSimPool is simAcquire's write phase: under ent.mu it builds the
+// pool or extends it to req.Sims profiles, then releases the lock (on
+// every path). hit reports whether a cached pool served the request;
+// added is the number of freshly generated profiles.
+func (e *Engine) growSimPool(ctx context.Context, ent *poolEntry, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, seeds []int32) (hit bool, added int, err error) {
+	sims := req.Sims
+	seed := req.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	lockEntry(ent)
 	if err := ctx.Err(); err != nil {
 		// Canceled while blocked on the singleflight lock: nothing was
 		// built on our behalf, walk away and leave the entry to the
 		// builder (see BoostContext).
 		ent.mu.Unlock()
-		return nil, false, 0, e.noteRequestErr(err)
+		return false, 0, e.noteRequestErr(err)
 	}
 	switch {
 	case ent.sim != nil && sims <= 0:
@@ -1272,18 +1350,18 @@ func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters
 		g2, err := rg.get()
 		if err != nil {
 			e.abandonColdBuild(ent)
-			return nil, false, 0, err
+			return false, 0, err
 		}
 		pool, err := spec.sim.NewPool(g2, seeds, seed, e.workersFor(req.Workers))
 		if err != nil {
 			e.abandonColdBuild(ent)
-			return nil, false, 0, err
+			return false, 0, err
 		}
 		if err := pool.ExtendContext(ctx, sims); err != nil {
 			// The half-sampled pool is discarded whole; the entry is
 			// handed to a waiting follower or dropped, never cached.
 			e.abandonColdBuild(ent)
-			return nil, false, 0, e.noteRequestErr(err)
+			return false, 0, e.noteRequestErr(err)
 		}
 		ent.sim = pool
 		ent.derived = !spec.content.Identity()
@@ -1298,7 +1376,7 @@ func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters
 			// A failed extension merges nothing and restores the RNG
 			// state, so the cached pool is exactly as it was: keep it.
 			ent.mu.Unlock()
-			return nil, false, 0, e.noteRequestErr(err)
+			return false, 0, e.noteRequestErr(err)
 		}
 		hit = true
 		e.ctr.poolHits.Add(1)
@@ -1315,8 +1393,7 @@ func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters
 	}
 	e.accountBytes(ent, ent.sim.MemoryEstimate())
 	ent.mu.Unlock()
-	ent.mu.RLock()
-	return ent, hit, added, nil
+	return hit, added, nil
 }
 
 // finishBoostSim runs (or recalls) the pooled greedy for a ready
@@ -1547,8 +1624,9 @@ type EstimateResult struct {
 	Spread float64 `json:"spread"`
 	// Boost is Δ_S(B), estimated with coupled possible worlds.
 	Boost float64 `json:"boost"`
-	// CacheHit reports whether a mode:"lt" estimate was served from an
-	// already-built profile pool (IC estimates are never cached).
+	// CacheHit reports whether a sim-mode ("lt", "sir", "kthresh")
+	// estimate was served from an already-built profile pool (IC
+	// estimates are never cached).
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Tier is the estimator that served the query: 0 = closed-form
 	// two-hop approximation (no error guarantee), 1 = small-sample

@@ -98,12 +98,15 @@ func DefaultMaxInFlightWarm() int { return 16 * runtime.GOMAXPROCS(0) }
 
 // Server is the HTTP front end of an Engine. It serves:
 //
-//	POST /v1/boost           — run PRR-Boost / PRR-Boost-LB / boosted-LT
-//	                           greedy (mode "full", "lb" or "lt")
+//	POST /v1/boost           — run PRR-Boost / PRR-Boost-LB (mode "ic"
+//	                           or its alias "full", "lb") or a sim
+//	                           model's pooled greedy (mode "lt", "sir"
+//	                           or "kthresh")
 //	POST /v1/seeds           — classic IMM seed selection
 //	POST /v1/estimate        — spread / boost estimation (mode "ic" runs
-//	                           fresh Monte-Carlo; mode "lt" evaluates on
-//	                           the cached LT profile pool)
+//	                           fresh Monte-Carlo; the sim modes evaluate
+//	                           on the cached profile pool; every mode
+//	                           may be served by a cheaper tier)
 //	GET  /v1/stats           — engine counters and uptime
 //	GET  /v1/graphs          — list registered snapshots (id, version,
 //	                           size)

@@ -40,23 +40,3 @@ func New(threshold int) *Model {
 
 // Threshold returns the model's activation threshold.
 func (m *Model) Threshold() int { return int(m.thresh) }
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche mix, the
-// same hash core lt's threshold draw uses.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// edgeU returns U(u, v) ∈ [0, 1): the liveness uniform of edge (u, v)
-// in the profile seeded by ps. Keyed by the node-id pair, not an edge
-// index, so the out-CSR cascade and the in-CSR frontier scan see the
-// same draw for the same edge.
-func edgeU(ps uint64, u, v int32) float64 {
-	x := ps ^ (uint64(uint32(u))+1)*0x9e3779b97f4a7c15 ^ (uint64(uint32(v))+1)*0x94d049bb133111eb
-	return float64(mix64(x)>>11) * (1.0 / (1 << 53))
-}

@@ -16,6 +16,15 @@
 // guarantees the generic pool contract cannot express — but shares the
 // engine's mode registry.
 //
+// SIR and k-threshold share one pool kernel, model/simpool: profile
+// generation, flat base-world storage, the frontier index, estimation,
+// the parallel greedy and the tier-1 sampler. Each supplies only a
+// simpool.Rule — its per-profile cascade, base-world capture and
+// incremental boost evaluation — so a new percolation-style model is
+// one rule, called once per profile evaluation and never per edge. lt
+// keeps its own pool (CELF selection, in-weight state, in-place
+// repair).
+//
 // Every implementation keeps the repo's hardening contract: pool
 // contents are a pure function of (seed, graph, seed set) independent
 // of worker count, estimates are bit-exact across worker counts, and a

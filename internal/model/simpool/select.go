@@ -1,30 +1,31 @@
-package kthresh
+package simpool
 
-// Pooled greedy boost selection for k-threshold contagion: the same
-// exhaustive greedy over frontier-index posting lists as model/sir. A
+// Pooled greedy boost selection. Unlike lt's CELF lazy-heap, this is a
+// plain exhaustive greedy made cheap by the frontier index: a
 // candidate's delta is nonzero only in profiles where some member of
 // (chosen ∪ {candidate}) sits in the base frontier, so each round
 // evaluates every candidate over the merged posting lists — typically a
 // small fraction of R — instead of all profiles. Candidates are
 // evaluated in parallel (each goroutine owns a scratch, gains land in a
 // per-candidate slot) and the argmax is applied serially, so results
-// are bit-identical for every worker count and to the retained
-// full-resimulation reference greedyBoostNaive.
+// are bit-identical for every worker count and to the full-resimulation
+// reference GreedyBoostNaive.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"github.com/kboost/kboost/internal/graph"
 )
 
-// boostCandidates returns the greedy candidate pool: non-seed nodes
+// BoostCandidates returns the greedy candidate pool: non-seed nodes
 // ordered by incoming boost gain Σ (p'−p) descending (ties toward the
 // smaller id), capped at candCap (already resolved by the caller) — the
-// repo-wide raw-uplift ranking, a natural proxy for added exposures.
-func boostCandidates(g *graph.Graph, seedMask []bool, candCap int) []int32 {
+// raw-uplift ranking lt uses, a first-order proxy for the activations a
+// boost adds under every simulation model.
+func BoostCandidates(g *graph.Graph, seedMask []bool, candCap int) []int32 {
 	type nw struct {
 		v int32
 		w float64
@@ -42,11 +43,11 @@ func boostCandidates(g *graph.Graph, seedMask []bool, candCap int) []int32 {
 		}
 		pool = append(pool, nw{v, wsum})
 	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].w != pool[j].w {
-			return pool[i].w > pool[j].w
+	slices.SortFunc(pool, func(a, b nw) int {
+		if a.w != b.w {
+			return cmp.Compare(b.w, a.w)
 		}
-		return pool[i].v < pool[j].v
+		return cmp.Compare(a.v, b.v)
 	})
 	if len(pool) > candCap {
 		pool = pool[:candCap]
@@ -58,9 +59,9 @@ func boostCandidates(g *graph.Graph, seedMask []bool, candCap int) []int32 {
 	return out
 }
 
-// candidateCap resolves the candidate-pool cap: candCap < k falls back
+// CandidateCap resolves the candidate-pool cap: candCap < k falls back
 // to the repo-wide 4k default.
-func candidateCap(k, candCap int) int {
+func CandidateCap(k, candCap int) int {
 	if candCap < k {
 		return 4 * k
 	}
@@ -68,26 +69,26 @@ func candidateCap(k, candCap int) int {
 }
 
 // GreedyBoost greedily selects up to k boost nodes maximizing the
-// pooled k-threshold boost estimate over the candidate pool (candCap <
-// k picks the 4k default). It returns the chosen nodes in pick order
-// and the pooled boost estimate Δ̂ of the chosen set. Selection stops
-// early when no candidate adds activations in any profile. Like the
-// other boosted models it is a heuristic without an approximation
-// guarantee, but it returns exactly what greedyBoostNaive would,
-// bit-for-bit, at a fraction of the simulations. Safe to run
-// concurrently with other read-only pool methods (not with Extend).
-func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
+// pooled boost estimate over the candidate pool (candCap < k picks the
+// 4k default). It returns the chosen nodes in pick order and the pooled
+// boost estimate Δ̂ of the chosen set. Selection stops early when no
+// candidate adds activations in any profile. It is a heuristic without
+// an approximation guarantee, but it returns exactly what
+// GreedyBoostNaive would, bit-for-bit, at a fraction of the
+// simulations. Safe to run concurrently with other read-only pool
+// methods (not with Extend).
+func (p *Pool[S]) GreedyBoost(k, candCap int) ([]int32, float64, error) {
 	return p.GreedyBoostContext(context.Background(), k, candCap)
 }
 
 // GreedyBoostContext is GreedyBoost with cooperative cancellation: the
 // greedy pick loop polls ctx once per round, so a canceled request
 // stops within one gain-evaluation sweep.
-func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
+func (p *Pool[S]) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}
-	return p.greedyBoost(ctx, k, boostCandidates(p.g, p.seedMask, candidateCap(k, candCap)))
+	return p.greedyBoost(ctx, k, BoostCandidates(p.g, p.seedMask, CandidateCap(k, candCap)))
 }
 
 // GreedyBoostAmong is GreedyBoost over an explicit candidate list
@@ -95,13 +96,13 @@ func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32,
 // may be picked. Callers (the engine's tier-0 pre-filter) supply a
 // shortlist from a cheap closed-form ranking; out-of-range ids and
 // seeds are ignored.
-func (p *Pool) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
+func (p *Pool[S]) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
 	return p.GreedyBoostAmongContext(context.Background(), k, cands)
 }
 
 // GreedyBoostAmongContext is GreedyBoostAmong with cooperative
 // cancellation (see GreedyBoostContext).
-func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+func (p *Pool[S]) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}
@@ -115,27 +116,21 @@ func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32
 }
 
 // checkSelect validates a selection request against the pool.
-func (p *Pool) checkSelect(k int) error {
+func (p *Pool[S]) checkSelect(k int) error {
 	if k < 1 {
-		return fmt.Errorf("kthresh: k=%d must be >= 1", k)
+		return fmt.Errorf("%s: k=%d must be >= 1", p.rule.Name, k)
 	}
 	if len(p.profileSeed) == 0 {
-		return fmt.Errorf("kthresh: selection on an empty pool (call Extend first)")
+		return fmt.Errorf("%s: selection on an empty pool (call Extend first)", p.rule.Name)
 	}
 	return nil
 }
 
-// selectParallelMin is the minimum number of candidates per greedy
-// round before gain evaluation fans out to the pool's workers; a
-// variable so tests can force the parallel path on small pools.
-var selectParallelMin = 16
-
 // greedyBoost is the exhaustive greedy over a resolved candidate list.
-func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+func (p *Pool[S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	R := len(p.profileSeed)
 	chosenMask := make([]bool, p.g.N())
 	var chosen []int32
 	var profsChosen []int32 // sorted union of chosen's posting lists
@@ -168,7 +163,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 		curDelta += bestGain
 		profsChosen = p.mergeFrontierProfiles(profsChosen, []int32{best})
 	}
-	return chosen, float64(curDelta) / float64(R), nil
+	return chosen, float64(curDelta) / float64(len(p.profileSeed)), nil
 }
 
 // evalGains fills gains[ci] with candidate cands[ci]'s marginal delta
@@ -176,8 +171,8 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 // posting lists, minus the chosen set's own delta. Each candidate is a
 // pure function of (pool, chosen, candidate), so the parallel fan-out
 // cannot change results.
-func (p *Pool) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen []int32, curDelta int64, gains []int64) {
-	evalRange := func(lo, hi int, s *evalScratch) {
+func (p *Pool[S]) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen []int32, curDelta int64, gains []int64) {
+	evalRange := func(lo, hi int, s S) {
 		for ci := lo; ci < hi; ci++ {
 			c := cands[ci]
 			if chosenMask[c] {
@@ -187,52 +182,32 @@ func (p *Pool) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen [
 			profs := p.mergeFrontierProfiles(profsChosen, cands[ci:ci+1])
 			var sum int64
 			for _, pi := range profs {
-				sum += int64(p.evalBoostSet(int(pi), chosen, chosenMask, c, s))
+				sum += int64(p.rule.Eval(int(pi), chosen, chosenMask, c, s))
 			}
 			gains[ci] = sum - curDelta
 		}
 	}
-	if len(cands) < selectParallelMin || p.workers <= 1 {
+	if len(cands) < p.rule.SelectParallelMin || p.workers <= 1 {
 		s := p.getScratch()
 		defer p.putScratch(s)
 		evalRange(0, len(cands), s)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (len(cands) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(cands) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			evalRange(lo, hi, s)
-		}(lo, hi)
-	}
-	wg.Wait()
+	p.fanOut(len(cands), func(_, lo, hi int, s S) { evalRange(lo, hi, s) })
 }
 
-// greedyBoostNaive is the retained reference implementation: each round
-// it re-simulates every profile from scratch for every remaining
-// candidate and takes the best (ties toward the smaller node id,
-// stopping when no candidate adds activations) — exactly the semantics
-// GreedyBoost reproduces incrementally. The equivalence property tests
-// and the warm-selection benchmark run it against the fast path.
-func (p *Pool) greedyBoostNaive(k, candCap int) ([]int32, float64, error) {
+// GreedyBoostNaive is the reference implementation GreedyBoost is
+// property-tested against: each round it re-simulates every profile
+// from scratch for every remaining candidate and takes the best (ties
+// toward the smaller node id, stopping when no candidate adds
+// activations) — exactly the semantics GreedyBoost reproduces
+// incrementally.
+func (p *Pool[S]) GreedyBoostNaive(k, candCap int) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}
-	R := len(p.profileSeed)
-	cands := append([]int32(nil), boostCandidates(p.g, p.seedMask, candidateCap(k, candCap))...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+	cands := BoostCandidates(p.g, p.seedMask, CandidateCap(k, candCap))
+	slices.Sort(cands)
 
 	s := p.getScratch()
 	defer p.putScratch(s)
@@ -248,9 +223,8 @@ func (p *Pool) greedyBoostNaive(k, candCap int) ([]int32, float64, error) {
 			}
 			mask[v] = true
 			var sum int64
-			for pi := range p.profileSeed {
-				sum += int64(p.simulate(p.profileSeed[pi], mask, false, s))
-				s.reset()
+			for _, ps := range p.profileSeed {
+				sum += int64(p.rule.Simulate(ps, mask, s))
 			}
 			mask[v] = false
 			if sum > bestSum {
@@ -264,5 +238,5 @@ func (p *Pool) greedyBoostNaive(k, candCap int) ([]int32, float64, error) {
 		mask[best] = true
 		curSum = bestSum
 	}
-	return chosen, float64(curSum-p.baseSum) / float64(R), nil
+	return chosen, float64(curSum-p.baseSum) / float64(len(p.profileSeed)), nil
 }

@@ -31,7 +31,11 @@
 // out- and in-views of the same edge.
 package sir
 
-import "math"
+import (
+	"math"
+
+	"github.com/kboost/kboost/internal/model/simpool"
+)
 
 // DefaultRecovery is the recovery probability selected by a zero knob.
 const DefaultRecovery = 0.5
@@ -63,43 +67,20 @@ func New(recovery float64) *Model {
 // Recovery returns the model's per-round recovery probability.
 func (m *Model) Recovery() float64 { return m.recovery }
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche mix, the
-// same hash core lt's threshold draw uses.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// hash01 maps a mixed word to a uniform float64 in [0, 1).
-func hash01(x uint64) float64 {
-	return float64(mix64(x)>>11) * (1.0 / (1 << 53))
-}
-
-// durSalt separates the duration draw's hash domain from edgeU's.
+// durSalt separates the duration draw's hash domain from the edge
+// uniforms'.
 const durSalt = 0xd1342543de82ef95
 
 // duration returns d(u) ∈ [1, maxDuration]: node u's infectious
 // duration in the profile seeded by ps, sampled as
 // 1 + Geometric(γ) by inversion from a hash uniform.
 func (m *Model) duration(ps uint64, u int32) int {
-	u01 := hash01(ps ^ durSalt ^ (uint64(uint32(u))+1)*0x9e3779b97f4a7c15)
+	u01 := simpool.Hash01(ps ^ durSalt ^ (uint64(uint32(u))+1)*0x9e3779b97f4a7c15)
 	d := 1 + int(math.Log(1-u01)*m.invLogS)
 	if d > maxDuration {
 		d = maxDuration
 	}
 	return d
-}
-
-// edgeU returns U(u, v) ∈ [0, 1): the transmission uniform of edge
-// (u, v) in the profile seeded by ps. Keyed by the node-id pair, not an
-// edge index, so the out-CSR cascade and the in-CSR boost scan see the
-// same draw for the same edge.
-func edgeU(ps uint64, u, v int32) float64 {
-	return hash01(ps ^ (uint64(uint32(u))+1)*0x9e3779b97f4a7c15 ^ (uint64(uint32(v))+1)*0x94d049bb133111eb)
 }
 
 // transQ returns the aggregate transmissibility 1 − (1 − p)^d of an
