@@ -6,24 +6,19 @@
 // The package provides single-run simulation, coupled base/boosted runs
 // over a shared possible world (a large variance reduction when
 // estimating the boost Δ_S(B) = σ_S(B) − σ_S(∅)), and parallel
-// Monte-Carlo estimators.
+// Monte-Carlo estimators. The coupled kernel (PairOnce) runs the base
+// cascade first and extends it to the boosted one, drawing each edge's
+// uniform at most once per world.
 package diffusion
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/rng"
-)
-
-// Edge status in a sampled possible world.
-const (
-	statusUnsampled uint8 = iota
-	statusBlocked         // fails even for boosted targets
-	statusLive            // succeeds regardless of boosting
-	statusBoostOnly       // succeeds only if the target is boosted
 )
 
 // Simulator runs boosted-IC diffusions on one graph. It owns scratch
@@ -32,23 +27,16 @@ const (
 type Simulator struct {
 	g *graph.Graph
 
-	status  []uint8 // per out-edge sampled status (epoch = touched list)
-	touched []int32 // out-edge indices sampled in the current world
-
 	mark  []int32 // per-node visit epoch
-	epoch int32
+	epoch int32   // kboost:epoch
 
-	queue []int32
+	queue   []int32 // active nodes of the current run, in activation order
+	pending []int32 // PairOnce: boosted targets of boost-only base edges
 }
 
 // NewSimulator returns a Simulator for g.
 func NewSimulator(g *graph.Graph) *Simulator {
-	return &Simulator{
-		g:      g,
-		status: make([]uint8, g.M()),
-		mark:   make([]int32, g.N()),
-		epoch:  0,
-	}
+	return &Simulator{g: g, mark: make([]int32, g.N())}
 }
 
 // MaskFromSet returns an n-length boolean mask with mask[v]=true for
@@ -65,24 +53,97 @@ func MaskFromSet(n int, nodes []int32) []bool {
 // boosted nodes) and returns the number of activated nodes. Edge
 // outcomes are drawn from r.
 func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
+	s.begin(seeds)
+	s.cascade(0, boost, r)
+	return len(s.queue)
+}
+
+// PairOnce samples one possible world and returns the spread without
+// boosting and the spread with the given boost mask (nil means none),
+// both measured in that same world. In the world every edge is live
+// (probability p), live-upon-boost (p' − p) or blocked; the boosted run
+// follows live edges and live-upon-boost edges into boosted targets.
+//
+// The base cascade runs first and draws one uniform x per edge into a
+// still-inactive target: x < p activates it, and p ≤ x < p' into a
+// boosted target queues it as pending. The boosted world is the base
+// set plus the cascade from the pending nodes, which draws only the
+// out-edges of those newly boosted nodes (p' into boosted targets, p
+// otherwise). The two cascades read disjoint edges, so each edge is
+// drawn at most once and the joint law of (base, boosted) is that of
+// the three-status world. Because the worlds are coupled, boosted−base
+// is an unbiased, low-variance per-replicate estimate of the boost of
+// influence.
+func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
 	g := s.g
-	s.epoch++
-	active := 0
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != s.epoch {
-			s.mark[v] = s.epoch
-			s.queue = append(s.queue, v)
-			active++
-		}
-	}
+	s.begin(seeds)
+	ep := s.epoch
+	s.pending = s.pending[:0]
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		to := g.OutTo(u)
 		p := g.OutP(u)
 		pb := g.OutPBoost(u)
 		for i, v := range to {
-			if s.mark[v] == s.epoch {
+			if s.mark[v] == ep {
+				continue
+			}
+			x := r.Float64()
+			if x < p[i] {
+				s.mark[v] = ep
+				s.queue = append(s.queue, v)
+			} else if x < pb[i] && boost != nil && boost[v] {
+				s.pending = append(s.pending, v)
+			}
+		}
+	}
+	base = len(s.queue)
+	for _, v := range s.pending {
+		if s.mark[v] != ep {
+			s.mark[v] = ep
+			s.queue = append(s.queue, v)
+		}
+	}
+	s.cascade(base, boost, r)
+	return base, len(s.queue)
+}
+
+// nextEpoch advances the visit stamp, clearing mark when the int32
+// epoch wraps so stale stamps can never read as current.
+// kboost:epoch-helper
+func (s *Simulator) nextEpoch() {
+	if s.epoch == math.MaxInt32 {
+		clear(s.mark)
+		s.epoch = 0
+	}
+	s.epoch++
+}
+
+// begin starts a run: a fresh visit epoch and a queue holding the
+// distinct seeds, all active.
+func (s *Simulator) begin(seeds []int32) {
+	s.nextEpoch()
+	s.queue = s.queue[:0]
+	for _, v := range seeds {
+		if s.mark[v] != s.epoch {
+			s.mark[v] = s.epoch
+			s.queue = append(s.queue, v)
+		}
+	}
+}
+
+// cascade runs the boosted-IC BFS over the queue from index qi on. Each
+// out-edge of a dequeued node into a still-inactive target is drawn
+// once, with p' into boosted targets and p otherwise.
+func (s *Simulator) cascade(qi int, boost []bool, r *rng.Source) {
+	g, ep := s.g, s.epoch
+	for ; qi < len(s.queue); qi++ {
+		u := s.queue[qi]
+		to := g.OutTo(u)
+		p := g.OutP(u)
+		pb := g.OutPBoost(u)
+		for i, v := range to {
+			if s.mark[v] == ep {
 				continue
 			}
 			prob := p[i]
@@ -90,118 +151,11 @@ func (s *Simulator) SpreadOnce(seeds []int32, boost []bool, r *rng.Source) int {
 				prob = pb[i]
 			}
 			if r.Bernoulli(prob) {
-				s.mark[v] = s.epoch
+				s.mark[v] = ep
 				s.queue = append(s.queue, v)
-				active++
 			}
 		}
 	}
-	return active
-}
-
-// PairOnce samples one possible world (per-edge status live /
-// live-upon-boost / blocked) and returns the spread without boosting and
-// the spread with the given boost mask, both measured in that same
-// world. Because the worlds are coupled, boosted-base is an unbiased,
-// low-variance per-replicate estimate of the boost of influence.
-func (s *Simulator) PairOnce(seeds []int32, boost []bool, r *rng.Source) (base, boosted int) {
-	g := s.g
-
-	// Pass 1: boosted world. Superset of the base activation, so every
-	// edge the base pass needs has a recorded status afterwards.
-	s.epoch++
-	boostEpoch := s.epoch
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != boostEpoch {
-			s.mark[v] = boostEpoch
-			s.queue = append(s.queue, v)
-			boosted++
-		}
-	}
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		start := edgeStart(g, u)
-		to := g.OutTo(u)
-		p := g.OutP(u)
-		pb := g.OutPBoost(u)
-		for i, v := range to {
-			e := start + int32(i)
-			st := s.status[e]
-			if st == statusUnsampled {
-				st = sampleStatus(p[i], pb[i], r)
-				s.status[e] = st
-				s.touched = append(s.touched, e)
-			}
-			if s.mark[v] == boostEpoch {
-				continue
-			}
-			if st == statusLive || (st == statusBoostOnly && boost != nil && boost[v]) {
-				s.mark[v] = boostEpoch
-				s.queue = append(s.queue, v)
-				boosted++
-			}
-		}
-	}
-
-	// Pass 2: base world over recorded statuses (live edges only).
-	s.epoch++
-	baseEpoch := s.epoch
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != baseEpoch {
-			s.mark[v] = baseEpoch
-			s.queue = append(s.queue, v)
-			base++
-		}
-	}
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		start := edgeStart(g, u)
-		to := g.OutTo(u)
-		for i, v := range to {
-			if s.mark[v] == baseEpoch {
-				continue
-			}
-			if s.status[start+int32(i)] == statusLive {
-				s.mark[v] = baseEpoch
-				s.queue = append(s.queue, v)
-				base++
-			}
-		}
-	}
-
-	// Reset sampled statuses for the next world.
-	for _, e := range s.touched {
-		s.status[e] = statusUnsampled
-	}
-	s.touched = s.touched[:0]
-	return base, boosted
-}
-
-// sampleStatus draws the three-way edge status: live with probability p,
-// live-upon-boost with probability pb-p, blocked otherwise.
-func sampleStatus(p, pb float64, r *rng.Source) uint8 {
-	u := r.Float64()
-	switch {
-	case u < p:
-		return statusLive
-	case u < pb:
-		return statusBoostOnly
-	default:
-		return statusBlocked
-	}
-}
-
-// edgeStart returns the index of u's first out-edge in the global edge
-// arrays. graph exposes subslices; recover the offset from capacity-free
-// arithmetic instead would be fragile, so Graph gives us the count
-// directly: the offset equals the sum of degrees of nodes < u, which the
-// CSR start array stores. We re-derive it via OutTo alignment.
-func edgeStart(g *graph.Graph, u int32) int32 {
-	// OutTo(u) aliases the shared edge array; its offset is exposed by
-	// Graph via OutOffset.
-	return g.OutOffset(u)
 }
 
 // Options configures a Monte-Carlo estimation.
@@ -236,101 +190,61 @@ func validateNodes(g *graph.Graph, nodes []int32, what string) error {
 	return nil
 }
 
+// validate range-checks the seed and boost lists of an estimate.
+func validate(g *graph.Graph, seeds, boost []int32) error {
+	if err := validateNodes(g, seeds, "seed"); err != nil {
+		return err
+	}
+	return validateNodes(g, boost, "boost")
+}
+
 // EstimateSpread estimates σ_S(B): the expected number of nodes
 // activated when seeding seeds and boosting the nodes in boost (which
 // may be nil for the plain IC spread).
 func EstimateSpread(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
-		return 0, err
-	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
+	if err := validate(g, seeds, boost); err != nil {
 		return 0, err
 	}
 	opt = opt.withDefaults()
 	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
-		return float64(sim.SpreadOnce(seeds, mask, r))
+	total, _ := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) (int, int) {
+		return sim.SpreadOnce(seeds, mask, r), 0
 	})
 	return total / float64(opt.Sims), nil
 }
 
-// EstimateBoost estimates Δ_S(B) = σ_S(B) − σ_S(∅) using coupled
-// possible worlds, which gives far lower variance than estimating the
-// two spreads independently.
-func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
-		return 0, err
-	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
-		return 0, err
+// EstimatePair estimates σ_S(B) and Δ_S(B) = σ_S(B) − σ_S(∅) from one
+// set of coupled possible worlds: each PairOnce replicate contributes
+// its boosted spread to σ̂ and boosted − base to Δ̂. Coupling gives Δ̂
+// far lower variance than differencing two independent spread
+// estimates, and σ̂ comes free with it.
+func EstimatePair(g *graph.Graph, seeds, boost []int32, opt Options) (spread, delta float64, err error) {
+	if err := validate(g, seeds, boost); err != nil {
+		return 0, 0, err
 	}
 	opt = opt.withDefaults()
 	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
+	boosted, gain := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) (int, int) {
 		base, boosted := sim.PairOnce(seeds, mask, r)
-		return float64(boosted - base)
+		return boosted, boosted - base
 	})
-	return total / float64(opt.Sims), nil
+	return boosted / float64(opt.Sims), gain / float64(opt.Sims), nil
 }
 
-// EstimateActivation estimates the per-node activation probability under
-// seeds and boost. It returns a slice of length g.N().
-func EstimateActivation(g *graph.Graph, seeds, boost []int32, opt Options) ([]float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
-		return nil, err
-	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
-		return nil, err
-	}
-	opt = opt.withDefaults()
-	mask := MaskFromSet(g.N(), boost)
-
-	counts := make([]int64, g.N())
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	root := rng.New(opt.Seed)
-	per := simSplit(opt.Sims, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		r := root.Split()
-		nSims := per[w]
-		if nSims == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sim := NewSimulator(g)
-			local := make([]int64, g.N())
-			for i := 0; i < nSims; i++ {
-				sim.SpreadOnce(seeds, mask, r)
-				// Nodes activated in this run carry the current epoch.
-				for v := range local {
-					if sim.mark[v] == sim.epoch {
-						local[v]++
-					}
-				}
-			}
-			mu.Lock()
-			for v := range counts {
-				counts[v] += local[v]
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	probs := make([]float64, g.N())
-	for v := range probs {
-		probs[v] = float64(counts[v]) / float64(opt.Sims)
-	}
-	return probs, nil
+// EstimateBoost estimates Δ_S(B) = σ_S(B) − σ_S(∅): the Δ̂ leg of
+// EstimatePair.
+func EstimateBoost(g *graph.Graph, seeds, boost []int32, opt Options) (float64, error) {
+	_, delta, err := EstimatePair(g, seeds, boost, opt)
+	return delta, err
 }
 
 // parallelSum runs opt.Sims replicates of one across opt.Workers
-// goroutines with independent RNG streams and returns the sum.
-func parallelSum(g *graph.Graph, opt Options, one func(*Simulator, *rng.Source) float64) float64 {
+// goroutines with independent RNG streams and returns the sums of the
+// two counts each replicate reports.
+func parallelSum(g *graph.Graph, opt Options, one func(*Simulator, *rng.Source) (int, int)) (float64, float64) {
 	root := rng.New(opt.Seed)
 	per := simSplit(opt.Sims, opt.Workers)
-	results := make([]float64, opt.Workers)
+	results := make([][2]int, opt.Workers)
 	var wg sync.WaitGroup
 	for w := 0; w < opt.Workers; w++ {
 		r := root.Split()
@@ -342,19 +256,22 @@ func parallelSum(g *graph.Graph, opt Options, one func(*Simulator, *rng.Source) 
 		go func(w int) {
 			defer wg.Done()
 			sim := NewSimulator(g)
-			var sum float64
+			var sum [2]int
 			for i := 0; i < nSims; i++ {
-				sum += one(sim, r)
+				a, b := one(sim, r)
+				sum[0] += a
+				sum[1] += b
 			}
 			results[w] = sum
 		}(w)
 	}
 	wg.Wait()
-	var total float64
+	var total [2]int
 	for _, v := range results {
-		total += v
+		total[0] += v[0]
+		total[1] += v[1]
 	}
-	return total
+	return float64(total[0]), float64(total[1])
 }
 
 // simSplit divides sims as evenly as possible across workers.

@@ -18,10 +18,7 @@ import (
 // sample vectors feed stats.Summarize for confidence intervals, which
 // the mean-only estimators above cannot provide.
 func EstimateSamples(g *graph.Graph, seeds, boost []int32, opt Options) (spread, delta []float64, err error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
-		return nil, nil, err
-	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
+	if err := validate(g, seeds, boost); err != nil {
 		return nil, nil, err
 	}
 	opt = opt.withDefaults()

@@ -33,16 +33,8 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 		return s.SpreadOnce(seeds, boost, r)
 	}
 	g := s.g
-	s.epoch++
-	active := 0
-	s.queue = s.queue[:0]
-	for _, v := range seeds {
-		if s.mark[v] != s.epoch {
-			s.mark[v] = s.epoch
-			s.queue = append(s.queue, v)
-			active++
-		}
-	}
+	s.begin(seeds)
+	ep := s.epoch
 	for qi := 0; qi < len(s.queue); qi++ {
 		u := s.queue[qi]
 		senderBoosted := boost != nil && boost[u]
@@ -50,7 +42,7 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 		p := g.OutP(u)
 		pb := g.OutPBoost(u)
 		for i, v := range to {
-			if s.mark[v] == s.epoch {
+			if s.mark[v] == ep {
 				continue
 			}
 			prob := p[i]
@@ -58,27 +50,23 @@ func (s *Simulator) SpreadOnceTarget(seeds []int32, boost []bool, target BoostTa
 				prob = pb[i]
 			}
 			if r.Bernoulli(prob) {
-				s.mark[v] = s.epoch
+				s.mark[v] = ep
 				s.queue = append(s.queue, v)
-				active++
 			}
 		}
 	}
-	return active
+	return len(s.queue)
 }
 
 // EstimateSpreadTarget estimates σ_S(B) under the chosen boost variant.
 func EstimateSpreadTarget(g *graph.Graph, seeds, boost []int32, target BoostTarget, opt Options) (float64, error) {
-	if err := validateNodes(g, seeds, "seed"); err != nil {
-		return 0, err
-	}
-	if err := validateNodes(g, boost, "boost"); err != nil {
+	if err := validate(g, seeds, boost); err != nil {
 		return 0, err
 	}
 	opt = opt.withDefaults()
 	mask := MaskFromSet(g.N(), boost)
-	total := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) float64 {
-		return float64(sim.SpreadOnceTarget(seeds, mask, target, r))
+	total, _ := parallelSum(g, opt, func(sim *Simulator, r *rng.Source) (int, int) {
+		return sim.SpreadOnceTarget(seeds, mask, target, r), 0
 	})
 	return total / float64(opt.Sims), nil
 }

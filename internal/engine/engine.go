@@ -1739,26 +1739,17 @@ func (e *Engine) estimateTier2(ctx context.Context, spec *modeSpec, req Estimate
 		Workers: e.workersFor(req.Workers),
 	}
 	// The IC Monte-Carlo is uncancelable once launched (stateless, no
-	// cache to protect); honor ctx between the two estimation legs.
+	// cache to protect); honor ctx before it starts.
 	if err := ctx.Err(); err != nil {
 		return EstimateResult{}, e.noteRequestErr(err)
 	}
-	spread, err := diffusion.EstimateSpread(g, req.Seeds, req.Boost, opt)
-	if err != nil {
-		return EstimateResult{}, err
+	if len(req.Boost) == 0 {
+		spread, err := diffusion.EstimateSpread(g, req.Seeds, nil, opt)
+		return EstimateResult{Spread: spread}, err
 	}
-	out := EstimateResult{Spread: spread}
-	if len(req.Boost) > 0 {
-		if err := ctx.Err(); err != nil {
-			return EstimateResult{}, e.noteRequestErr(err)
-		}
-		boost, err := diffusion.EstimateBoost(g, req.Seeds, req.Boost, opt)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		out.Boost = boost
-	}
-	return out, nil
+	// σ̂ and Δ̂ from one set of coupled worlds.
+	spread, boost, err := diffusion.EstimatePair(g, req.Seeds, req.Boost, opt)
+	return EstimateResult{Spread: spread, Boost: boost}, err
 }
 
 // estimateSim evaluates σ̂ and Δ̂ under a pooled simulation model on

@@ -90,6 +90,27 @@ func BenchmarkEstimateTier1(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateTier2IC measures the knobless IC evaluation with a
+// boost set: fresh default-budget Monte-Carlo reporting σ̂ and Δ̂ from
+// one set of coupled worlds. The setup asserts it is served at tier 2.
+func BenchmarkEstimateTier2IC(b *testing.B) {
+	e, req := benchTierSetup(b)
+	req.Mode = "ic"
+	res, err := e.Estimate(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Tier != 2 || res.Boost <= 0 {
+		b.Fatalf("served tier %d with Δ̂ %v, want tier 2 and a positive Δ̂", res.Tier, res.Boost)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Estimate(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEstimateTier2Warm measures the full evaluation on a warm
 // LT profile pool — the baseline the tiered path undercuts. The pool
 // is built outside the timer; every timed call must hit it.

@@ -13,7 +13,8 @@ package engine
 //	tier 1 — small fixed-budget Monte-Carlo (tier1Sims worker-invariant
 //	         simulations) with a normal-approximation 95% CI.
 //	tier 2 — the full evaluation (estimateTier2): fresh 10k-sim Monte-
-//	         Carlo for IC, the cached profile pool for the simulation
+//	         Carlo for IC (one coupled pass for σ̂ and Δ̂ when a boost
+//	         set is given), the cached profile pool for the simulation
 //	         modes.
 //
 // Tier choice needs to know how wrong the cheap tiers are *on this

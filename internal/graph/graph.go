@@ -57,15 +57,6 @@ func (g *Graph) InDegree(v int32) int {
 	return int(g.inStart[v+1] - g.inStart[v])
 }
 
-// OutOffset returns the index of u's first out-edge in the global edge
-// arrays; out-edge i of u has global index OutOffset(u)+i. Useful for
-// maintaining per-edge side tables aligned with the CSR layout.
-func (g *Graph) OutOffset(u int32) int32 { return g.outStart[u] }
-
-// InOffset returns the index of v's first in-edge in the global in-edge
-// arrays.
-func (g *Graph) InOffset(v int32) int32 { return g.inStart[v] }
-
 // OutTo returns the targets of u's out-edges. The slice aliases internal
 // storage and must not be modified.
 func (g *Graph) OutTo(u int32) []int32 { return g.outTo[g.outStart[u]:g.outStart[u+1]] }

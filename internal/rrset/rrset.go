@@ -15,6 +15,7 @@ package rrset
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,11 +46,22 @@ type Pool struct {
 // walker holds per-worker BFS state.
 type walker struct {
 	mark  []int32
-	epoch int32
+	epoch int32 // kboost:epoch
 	queue []int32
 }
 
 func newWalker(n int) *walker { return &walker{mark: make([]int32, n)} }
+
+// nextEpoch advances the visit stamp, clearing mark when the int32
+// epoch wraps so stale stamps can never read as current.
+// kboost:epoch-helper
+func (wk *walker) nextEpoch() {
+	if wk.epoch == math.MaxInt32 {
+		clear(wk.mark)
+		wk.epoch = 0
+	}
+	wk.epoch++
+}
 
 // NewPool returns an empty Pool. workers <= 0 means GOMAXPROCS.
 func NewPool(g *graph.Graph, seed uint64, workers int) *Pool {
@@ -188,7 +200,7 @@ func Generate(g *graph.Graph, root int32, r *rng.Source) []int32 {
 }
 
 func generate(g *graph.Graph, root int32, wk *walker, r *rng.Source) []int32 {
-	wk.epoch++
+	wk.nextEpoch()
 	wk.queue = wk.queue[:0]
 	wk.mark[root] = wk.epoch
 	wk.queue = append(wk.queue, root)

@@ -173,3 +173,30 @@ func TestPoolDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkerEpochWrap pushes a pooled walker's visit epoch across its
+// int32 wrap and checks the RR-sets match a fresh walker's on the same
+// RNG stream, and that the epoch restarts positive instead of counting
+// up from math.MinInt32 toward the zero-initialized stamps.
+func TestWalkerEpochWrap(t *testing.T) {
+	g := testutil.RandomGraph(rng.New(43), 30, 120, 0.5)
+	fresh, wrapped := newWalker(g.N()), newWalker(g.N())
+	wrapped.epoch = math.MaxInt32 - 2
+	ra, rb := rng.New(3), rng.New(3)
+	for i := 0; i < 8; i++ {
+		root := int32(i % g.N())
+		a := generate(g, root, fresh, ra)
+		b := generate(g, root, wrapped, rb)
+		if len(a) != len(b) {
+			t.Fatalf("set %d: %d nodes across the wrap, %d fresh", i, len(b), len(a))
+		}
+		for j := range a {
+			if a[j] != b[j] {
+				t.Fatalf("set %d diverged across the wrap: %v vs %v", i, b, a)
+			}
+		}
+	}
+	if wrapped.epoch <= 0 {
+		t.Fatalf("epoch %d after the wrap, want a positive restart", wrapped.epoch)
+	}
+}
