@@ -2,11 +2,9 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
-	"github.com/kboost/kboost/internal/core"
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/model"
 )
@@ -25,25 +23,25 @@ func onlyEntry(t *testing.T, e *Engine) *poolEntry {
 	return nil
 }
 
-// TestDowngradeReadsEmptiedEntry pins the lock-downgrade re-check in
-// both serving paths. A boost's write phase builds the pool, unlocks,
-// then takes the read lock for selection; a PATCH landing in between
-// empties the entry (RepairGraph detaches it and repairEntry moves or
-// drops its pool). The test builds an entry, patches the graph, and
-// then runs the read phase (rlockPRRPool / rlockSimPool) on the emptied
-// entry it still holds: the read phase must see the entry no longer
-// covers the request and redo the write phase instead of handing
-// selection a nil pool.
+// downgradeModes covers both pool families, every mode of each.
+var downgradeModes = []string{"ic", "lb", "lt", "sir", "kthresh"}
+
+// TestDowngradeReadsEmptiedEntry pins the lock-downgrade re-check of the
+// serving path. A boost's write phase builds the pool, unlocks, then
+// takes the read lock for selection; a PATCH landing in between empties
+// the entry (RepairGraph detaches it and repairEntry moves or drops its
+// pool). The test builds an entry, patches the graph, and then runs the
+// read phase on the emptied entry it still holds: the read phase must
+// see the entry no longer covers the request and redo the write phase
+// instead of handing selection a nil pool.
 func TestDowngradeReadsEmptiedEntry(t *testing.T) {
 	ctx := context.Background()
-	for _, mode := range []string{"ic", "sir"} {
+	for _, mode := range downgradeModes {
 		t.Run(mode, func(t *testing.T) {
 			e := newTestEngine(t, Options{})
 			req := testRequest()
 			req.Mode = mode
-			if mode == "sir" {
-				req.Sims = 300
-			}
+			req.Sims = 300
 			if _, err := e.Boost(req); err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +54,7 @@ func TestDowngradeReadsEmptiedEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 			ent.mu.RLock()
-			emptied := ent.pool == nil && ent.sim == nil
+			emptied := ent.pool == nil
 			ent.mu.RUnlock()
 			if !emptied {
 				t.Fatal("the patch left the detached entry holding a pool")
@@ -66,39 +64,22 @@ func TestDowngradeReadsEmptiedEntry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rg := &reqGraph{base: g, content: spec.content}
-			seeds := canonicalSeeds(req.Seeds)
-			out := &BoostResult{GraphVersion: version}
-			var res *BoostResult
-			if spec.sim != nil {
-				sc := e.simCtr(spec.name)
-				hit, added, err := e.rlockSimPool(ctx, ent, spec, sc, req, rg, seeds, true, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if hit || added != req.Sims {
-					t.Errorf("rebuilt pool reported hit=%v added=%d", hit, added)
-				}
-				res, err = e.finishBoostSim(ctx, ent, sc, out, req.K, spec.sim.CandidateCap(req.K, 0), 0, nil)
-				ent.mu.RUnlock()
-				if err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				opt := core.Options{K: req.K, Seed: req.Seed, Workers: req.Workers, MaxSamples: req.MaxSamples}.WithDefaults()
-				sizeKey := fmt.Sprintf("%d|%g|%g|%d", opt.K, opt.Epsilon, opt.Ell, opt.MaxSamples)
-				out.CacheHit = true // as the write phase of a warm growth leaves it
-				if err := e.rlockPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
-					t.Fatal(err)
-				}
-				if out.CacheHit || out.NewSamples == 0 {
-					t.Errorf("rebuilt pool reported CacheHit=%v NewSamples=%d", out.CacheHit, out.NewSamples)
-				}
-				res, err = e.finishBoost(ctx, ent, out, opt, 0)
-				ent.mu.RUnlock()
-				if err != nil {
-					t.Fatal(err)
-				}
+			pl, err := e.boostPlan(spec, g, canonicalSeeds(req.Seeds), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// CacheHit as the write phase of a warm growth leaves it.
+			out := &BoostResult{GraphVersion: version, CacheHit: true}
+			if err := e.readPhase(ctx, ent, pl, out); err != nil {
+				t.Fatal(err)
+			}
+			if out.CacheHit || out.NewSamples == 0 {
+				t.Errorf("rebuilt pool reported CacheHit=%v NewSamples=%d", out.CacheHit, out.NewSamples)
+			}
+			res, err := e.finishBoost(ctx, ent, pl, out, req.K, 0)
+			ent.mu.RUnlock()
+			if err != nil {
+				t.Fatal(err)
 			}
 			if len(res.BoostSet) == 0 {
 				t.Fatalf("read phase on the emptied entry returned %+v", res)
@@ -113,7 +94,7 @@ func TestDowngradeReadsEmptiedEntry(t *testing.T) {
 // detector and the deterministic test above carry the proof; this
 // shakes the real scheduling.
 func TestDowngradeRaceStress(t *testing.T) {
-	for _, mode := range []string{"ic", "sir"} {
+	for _, mode := range downgradeModes {
 		t.Run(mode, func(t *testing.T) {
 			e := newTestEngine(t, Options{})
 			stop := make(chan struct{})

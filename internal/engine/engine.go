@@ -15,32 +15,36 @@
 // started with, and new queries only ever find pools keyed to the
 // current version.
 //
-// Pools are cached per (graph snapshot, seed set, mode). Each cached
-// pool remembers the generation budget k it was built with; because a
+// Pools are cached per (graph snapshot, seed set, mode) and come in
+// two families behind one serving path. PRR pools ("ic", "lb")
+// remember the generation budget k they were built with; because a
 // PRR-graph generated for budget k' is valid for any query with
 // k <= k', a cached pool serves every smaller-or-equal k directly,
 // while a larger k forces a rebuild (generation-time pruning depends
 // on k, so growth cannot help there). A query that needs more samples
 // — tighter ε, higher ℓ, or a raised sample cap — grows the cached
 // pool in place via core.GrowPool: existing PRR-graphs are reused and
-// only the shortfall is generated.
+// only the shortfall is generated. Simulation pools ("lt", "sir",
+// "kthresh" — every internal/model Model) hold pre-sampled possible
+// worlds whose profiles do not depend on k, so they never rebuild: any
+// k is a warm query, and only a larger simulation budget grows them in
+// place.
+//
+// Every mode is served by one acquire → grow → select → cache path: a
+// per-request plan (plan.go) supplies the family's rules — what covers
+// the request, how to build and grow the pool, and how to run
+// selection — while the path itself, the LRU, the byte budget, the
+// singleflight entry locks and the per-pool result cache are shared.
 //
 // Access to each cached pool is serialized by a per-entry mutex, which
 // doubles as singleflight deduplication: when identical queries arrive
 // concurrently, exactly one builds the pool and the rest block until
 // it is ready, then reuse it.
 //
-// The simulation modes ("lt", "sir", "kthresh" — every internal/model
-// Model) are served from a second pool family under the same cache:
-// pre-sampled possible-world pools behind the generic model.Pool
-// interface. They share the LRU, the byte budget, the singleflight
-// entry locks and the per-pool result cache, but differ structurally in
-// one happy way: simulation profiles do not depend on the boost budget
-// k, so a sim pool never rebuilds — any k is a warm query, and only a
-// larger simulation budget grows it (in place). The mode registry
-// (mode.go) resolves request modes and per-model knobs onto the two
-// families, and the optional content modifier derives per-request
-// graphs whose pools are cached under content-tagged keys.
+// The mode registry (mode.go) resolves request modes and per-model
+// knobs onto the two families, and the optional content modifier
+// derives per-request graphs whose pools are cached under
+// content-tagged keys.
 package engine
 
 import (
@@ -54,7 +58,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/kboost/kboost/internal/approx"
 	"github.com/kboost/kboost/internal/core"
@@ -233,10 +236,10 @@ type Stats struct {
 	DegradedEstimates int64 `json:"degraded_estimates"`
 }
 
-// counters is the engine's live counter set. Every field is atomic so
-// the hot path (warm queries bumping hit counters) neither contends on
-// nor races with Engine.mu; Stats() assembles a consistent-enough
-// snapshot from atomic loads.
+// counters is the engine's live counter set, apart from the per-mode
+// query and pool-cache counters (modeCounters). Every field is atomic
+// so the hot path neither contends on nor races with Engine.mu;
+// Stats() assembles a consistent-enough snapshot from atomic loads.
 type counters struct {
 	uploads          atomic.Int64
 	deletes          atomic.Int64
@@ -249,22 +252,14 @@ type counters struct {
 	repairSkipped    atomic.Int64
 	repairFallback   atomic.Int64
 
-	boostQueries    atomic.Int64
-	seedQueries     atomic.Int64
-	estimateQueries atomic.Int64
+	seedQueries atomic.Int64
 
 	estimateTier0    atomic.Int64
 	estimateTier1    atomic.Int64
 	estimateTier2    atomic.Int64
 	tierCalibrations atomic.Int64
 
-	poolHits       atomic.Int64
-	poolMisses     atomic.Int64
-	poolRebuilds   atomic.Int64
-	poolExtensions atomic.Int64
-	resultHits     atomic.Int64
-	evictions      atomic.Int64
-	prrGenerated   atomic.Int64
+	evictions atomic.Int64
 
 	requestsShed      atomic.Int64
 	requestsCanceled  atomic.Int64
@@ -305,11 +300,11 @@ type Engine struct {
 
 	ctr counters
 
-	// simCtrs holds the per-mode counter blocks for the pooled
-	// simulation family, created on first use. simCtrMu is a leaf lock
-	// guarding only map access; the blocks themselves are atomic.
-	simCtrMu sync.Mutex
-	simCtrs  map[string]*simCounters // kboost:guarded-by simCtrMu
+	// modeCtrs holds every mode's counter block, created on first use.
+	// modeCtrMu is a leaf lock guarding only map access; the blocks
+	// themselves are atomic.
+	modeCtrMu sync.Mutex
+	modeCtrs  map[string]*modeCounters // kboost:guarded-by modeCtrMu
 }
 
 // poolEntry is one cached pool. entry.mu serializes pool *mutation*
@@ -326,25 +321,16 @@ type poolEntry struct {
 	// elem is nil for detached entries (see acquireEntry).
 	elem *list.Element // kboost:guarded-by Engine.mu
 
-	mu   sync.RWMutex
-	pool *prr.Pool // nil until the first query builds it // kboost:guarded-by mu
-	// sim is the possible-world profile pool for simulation-mode entries
-	// ("lt", "sir", "kthresh"; an entry is either a PRR pool or a sim
-	// pool, never both — the families live under distinct keys but share
-	// the LRU, byte accounting and result cache machinery).
-	sim model.Pool // kboost:guarded-by mu
-	// derived marks a sim pool sampled from a content-derived graph
-	// rather than the registered snapshot itself. Such pools are dropped
-	// (not repaired) on graph patches: the patch delta describes the base
+	mu sync.RWMutex
+	// pool is the entry's PRR or simulation pool (the mode tag in the
+	// key decides which); nil until the first query builds it.
+	pool servedPool // kboost:guarded-by mu
+	// derived marks a pool sampled from a content-derived graph rather
+	// than the registered snapshot itself. Such pools are dropped (not
+	// repaired) on graph patches: the patch delta describes the base
 	// graph, and migrating worlds sampled under transformed probabilities
 	// onto it would mix the two.
 	derived bool // kboost:guarded-by mu
-	// sized records the (K, ε, ℓ, MaxSamples) sizings already applied to
-	// the current pool. Re-running the IMM sizing re-derives its OPT
-	// lower bound from the now-larger pool and can land on a slightly
-	// larger sample target, so without this memo a literally identical
-	// repeat query would still generate a few samples. Reset on rebuild.
-	sized map[string]bool // kboost:guarded-by mu
 
 	// bytes is the pool's last MemoryEstimate, accounted into
 	// Engine.poolBytes; guarded by Engine.mu, not entry.mu.
@@ -373,8 +359,8 @@ type poolEntry struct {
 }
 
 // resultKey identifies one cached selection result. cand is the
-// resolved candidate-pool cap for LT selections (0 for PRR, whose
-// selection has no candidate cap); pre is the request's tier-0
+// resolved candidate-pool cap for simulation-mode selections (0 for
+// PRR, whose selection has no candidate cap); pre is the request's tier-0
 // pre-filter cap (0 when disabled). Both are part of the key because
 // they change which candidates the greedy may pick.
 type resultKey struct {
@@ -397,7 +383,7 @@ func New(opt Options) *Engine {
 		pools:    make(map[string]*poolEntry),
 		lru:      list.New(),
 		cals:     make(map[string]*calibration),
-		simCtrs:  make(map[string]*simCounters),
+		modeCtrs: make(map[string]*modeCounters),
 	}
 }
 
@@ -590,44 +576,48 @@ func (e *Engine) Stats() Stats {
 		RepairSkippedRebuilds:  e.ctr.repairSkipped.Load(),
 		RepairFallbackRebuilds: e.ctr.repairFallback.Load(),
 
-		BoostQueries:    e.ctr.boostQueries.Load(),
-		SeedQueries:     e.ctr.seedQueries.Load(),
-		EstimateQueries: e.ctr.estimateQueries.Load(),
+		SeedQueries: e.ctr.seedQueries.Load(),
 
 		EstimateTier0:    e.ctr.estimateTier0.Load(),
 		EstimateTier1:    e.ctr.estimateTier1.Load(),
 		EstimateTier2:    e.ctr.estimateTier2.Load(),
 		TierCalibrations: e.ctr.tierCalibrations.Load(),
 
-		PoolHits:       e.ctr.poolHits.Load(),
-		PoolMisses:     e.ctr.poolMisses.Load(),
-		PoolRebuilds:   e.ctr.poolRebuilds.Load(),
-		PoolExtensions: e.ctr.poolExtensions.Load(),
-		ResultHits:     e.ctr.resultHits.Load(),
-		Evictions:      e.ctr.evictions.Load(),
-		PRRGenerated:   e.ctr.prrGenerated.Load(),
+		Evictions: e.ctr.evictions.Load(),
 
 		RequestsShed:      e.ctr.requestsShed.Load(),
 		RequestsCanceled:  e.ctr.requestsCanceled.Load(),
 		PanicsRecovered:   e.ctr.panicsRecovered.Load(),
 		DegradedEstimates: e.ctr.degradedEstimates.Load(),
 	}
-	e.simCtrMu.Lock()
-	if len(e.simCtrs) > 0 {
-		st.SimModes = make(map[string]SimModeStats, len(e.simCtrs))
-		for name, sc := range e.simCtrs {
-			st.SimModes[name] = SimModeStats{
-				BoostQueries:    sc.boostQueries.Load(),
-				EstimateQueries: sc.estimateQueries.Load(),
-				PoolHits:        sc.poolHits.Load(),
-				PoolMisses:      sc.poolMisses.Load(),
-				PoolExtensions:  sc.poolExtensions.Load(),
-				ResultHits:      sc.resultHits.Load(),
-				Profiles:        sc.profiles.Load(),
-			}
+	e.modeCtrMu.Lock()
+	for name, mc := range e.modeCtrs {
+		ms := SimModeStats{
+			BoostQueries:    mc.boostQueries.Load(),
+			EstimateQueries: mc.estimateQueries.Load(),
+			PoolHits:        mc.poolHits.Load(),
+			PoolMisses:      mc.poolMisses.Load(),
+			PoolExtensions:  mc.poolExtensions.Load(),
+			ResultHits:      mc.resultHits.Load(),
+			Profiles:        mc.samples.Load(),
 		}
+		st.BoostQueries += ms.BoostQueries
+		st.EstimateQueries += ms.EstimateQueries
+		st.PoolHits += ms.PoolHits
+		st.PoolMisses += ms.PoolMisses
+		st.PoolRebuilds += mc.poolRebuilds.Load()
+		st.PoolExtensions += ms.PoolExtensions
+		st.ResultHits += ms.ResultHits
+		if !mc.sim {
+			st.PRRGenerated += ms.Profiles
+			continue
+		}
+		if st.SimModes == nil {
+			st.SimModes = make(map[string]SimModeStats)
+		}
+		st.SimModes[name] = ms
 	}
-	e.simCtrMu.Unlock()
+	e.modeCtrMu.Unlock()
 	// The legacy lt_* fields mirror SimModes["lt"] for existing scrapes.
 	if ltStats, ok := st.SimModes["lt"]; ok {
 		st.LTBoostQueries = ltStats.BoostQueries
@@ -831,9 +821,10 @@ func (e *Engine) estimateWarm(req EstimateRequest) bool {
 	})
 }
 
-// Boost answers a boosting query, reusing a cached PRR pool when one
-// exists for the same (graph snapshot, seed set, mode) with a
-// generation budget covering req.K. Selection always runs against the
+// Boost answers a boosting query, reusing the cached pool for the same
+// (graph snapshot, seed set, mode) when it covers the request: a PRR
+// pool whose generation budget covers req.K, or a simulation pool with
+// at least req.Sims profiles. Selection always runs against the
 // current pool, so a given query is deterministic for a fixed engine
 // history.
 func (e *Engine) Boost(req BoostRequest) (*BoostResult, error) {
@@ -856,111 +847,121 @@ func (e *Engine) BoostContext(ctx context.Context, req BoostRequest) (*BoostResu
 	if err != nil {
 		return nil, err
 	}
-	if spec.sim != nil {
-		return e.boostSim(ctx, spec, req)
-	}
 	g, version, err := e.snapshotFor(req.GraphID)
 	if err != nil {
 		return nil, err
 	}
-	rg := &reqGraph{base: g, content: spec.content}
 	seeds := canonicalSeeds(req.Seeds)
-	opt := core.Options{
-		K:          req.K,
-		Epsilon:    req.Epsilon,
-		Ell:        req.Ell,
-		Seed:       req.Seed,
-		Workers:    e.workersFor(req.Workers),
-		MaxSamples: req.MaxSamples,
-	}.WithDefaults()
-	// Reject bad requests before touching the cache: a garbage query
-	// must not bump the LRU or evict a warm pool.
-	if err := core.Validate(g, seeds, opt); err != nil {
+	pl, err := e.boostPlan(spec, g, seeds, req)
+	if err != nil {
 		return nil, err
 	}
-	if err := validatePrefilter(req.Prefilter, opt.K); err != nil {
-		return nil, err
-	}
-	pre := 0
-	if req.Prefilter > 0 {
-		// Tier-0 pre-filter: the Δ̂ greedy only considers the two-hop
-		// ranking's shortlist. Deterministic in (graph, seeds, cap), so
-		// the result cache can key on the cap alone.
-		g2, err := rg.get()
-		if err != nil {
-			return nil, err
-		}
-		if cands := approx.BoostCandidates(g2, seeds, req.Prefilter, nil); len(cands) >= req.Prefilter {
-			opt.Candidates = cands
-			pre = req.Prefilter
-		}
-		// A shorter shortlist means the two-hop ranking ran out of nodes
-		// with any boostable path from the seeds: restricting the greedy
-		// to it would silently degrade (and cache!) the result, so fall
-		// back to unrestricted selection — pre stays 0, sharing the
-		// exact queries' cache slot.
-	}
-	key := poolKey(req.GraphID, version, spec.tag(), seeds)
-	sizeKey := fmt.Sprintf("%d|%g|%g|%d", opt.K, opt.Epsilon, opt.Ell, opt.MaxSamples)
-
-	e.ctr.boostQueries.Add(1)
-	ent := e.acquireEntry(key, req.GraphID, version)
+	pl.base().ctr.boostQueries.Add(1)
 	out := &BoostResult{GraphVersion: version}
-
-	// Fast path: a fully warm entry — pool built, budget covers K, this
-	// exact sizing already applied — needs only read access. Taking the
-	// read lock lets concurrent warm queries on the same pool select in
-	// parallel instead of serializing.
-	rlockEntry(ent)
-	if ent.prrCovers(opt.K, sizeKey) {
-		defer ent.mu.RUnlock()
-		out.CacheHit = true
-		e.ctr.poolHits.Add(1)
-		return e.finishBoost(ctx, ent, out, opt, pre)
-	}
-	ent.mu.RUnlock()
-	if err := e.growPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
-		return nil, err
-	}
-	if err := e.rlockPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
+	ent, err := e.acquire(ctx, poolKey(req.GraphID, version, spec.tag(), seeds), req.GraphID, version, pl, out)
+	if err != nil {
 		return nil, err
 	}
 	defer ent.mu.RUnlock()
-	return e.finishBoost(ctx, ent, out, opt, pre)
+	return e.finishBoost(ctx, ent, pl, out, req.K, req.Prefilter)
 }
 
-// rlockPRRPool is the read phase that follows growPRRPool: it takes
-// ent.mu for reading once the entry holds a pool covering the request.
-// The downgrade is not atomic: a PATCH's repairEntry can empty the
-// entry between the write phase's Unlock and this RLock, so a failed
+// boostPlan validates a boost request against g and returns its
+// family's plan. Bad requests are rejected here, before touching the
+// cache: a garbage query must not bump the LRU or evict a warm pool.
+func (e *Engine) boostPlan(spec *modeSpec, g *graph.Graph, seeds []int32, req BoostRequest) (poolPlan, error) {
+	var pl poolPlan
+	if spec.sim != nil {
+		if err := validateSimBoost(g, seeds, req.K); err != nil {
+			return nil, err
+		}
+		// A boost query's simulation budget is a quality floor, so an
+		// omitted Sims means the full default — unlike estimates, which
+		// reuse a cached pool lazily at whatever size it has.
+		sims := req.Sims
+		if sims <= 0 {
+			sims = defaultSimProfiles
+		}
+		pl = &simPlan{model: spec.sim, sims: sims, seed: req.Seed, workers: e.workersFor(req.Workers), maxCands: req.CandCap}
+	} else {
+		opt := core.Options{
+			K:          req.K,
+			Epsilon:    req.Epsilon,
+			Ell:        req.Ell,
+			Seed:       req.Seed,
+			Workers:    e.workersFor(req.Workers),
+			MaxSamples: req.MaxSamples,
+		}.WithDefaults()
+		if err := core.Validate(g, seeds, opt); err != nil {
+			return nil, err
+		}
+		pl = &prrPlan{opt: opt, mode: spec.prrMode, sizeKey: fmt.Sprintf("%d|%g|%g|%d", opt.K, opt.Epsilon, opt.Ell, opt.MaxSamples)}
+	}
+	if err := validatePrefilter(req.Prefilter, req.K); err != nil {
+		return nil, err
+	}
+	pl.base().init(g, spec, seeds, e.modeCtr(spec))
+	return pl, nil
+}
+
+// acquire returns the cache entry for key (see acquireEntry) holding
+// ent.mu for reading, with a pool that covers pl's request; the caller
+// must RUnlock. out records how the pool was obtained: a warm hit, an
+// in-place growth, a cold build or a rebuild. The fast path — the pool
+// already covers the request — needs only the read lock, so concurrent
+// warm queries on the same pool run in parallel instead of
+// serializing.
+func (e *Engine) acquire(ctx context.Context, key, graphID string, version uint64, pl poolPlan, out *BoostResult) (*poolEntry, error) {
+	ent := e.acquireEntry(key, graphID, version)
+	rlockEntry(ent)
+	if ent.covers(pl) {
+		out.CacheHit = true
+		pl.base().ctr.poolHits.Add(1)
+		return ent, nil
+	}
+	ent.mu.RUnlock()
+	if err := e.writePhase(ctx, ent, pl, out); err != nil {
+		return nil, err
+	}
+	if err := e.readPhase(ctx, ent, pl, out); err != nil {
+		return nil, err
+	}
+	return ent, nil
+}
+
+// readPhase is the read phase that follows writePhase: it takes ent.mu
+// for reading once the entry holds a pool covering the request. The
+// downgrade is not atomic: a PATCH's repairEntry can empty the entry
+// between the write phase's Unlock and this RLock, so a failed
 // re-check runs the write phase again. Another query growing the pool
-// in the gap is harmless — selection then runs against the larger pool.
-func (e *Engine) rlockPRRPool(ctx context.Context, ent *poolEntry, rg *reqGraph, seeds []int32, opt core.Options, spec *modeSpec, sizeKey string, out *BoostResult) error {
+// in the gap is harmless — selection then runs against the larger
+// pool.
+func (e *Engine) readPhase(ctx context.Context, ent *poolEntry, pl poolPlan, out *BoostResult) error {
 	for {
 		ent.mu.RLock()
-		if ent.prrCovers(opt.K, sizeKey) {
+		if ent.covers(pl) {
 			return nil
 		}
 		ent.mu.RUnlock()
-		// Only the write phase whose pool is served reports.
-		out.CacheHit, out.Rebuilt, out.NewSamples = false, false, 0
-		if err := e.growPRRPool(ctx, ent, rg, seeds, opt, spec, sizeKey, out); err != nil {
+		if err := e.writePhase(ctx, ent, pl, out); err != nil {
 			return err
 		}
 	}
 }
 
-// prrCovers reports whether ent holds a PRR pool with a budget of at
-// least k and the sizing sizeKey applied.
+// covers reports whether ent holds a pool that serves pl's request.
 // kboost:holds mu
-func (ent *poolEntry) prrCovers(k int, sizeKey string) bool {
-	return ent.pool != nil && ent.pool.K() >= k && ent.sized[sizeKey]
+func (ent *poolEntry) covers(pl poolPlan) bool {
+	return ent.pool != nil && pl.covers(ent.pool)
 }
 
-// growPRRPool is BoostContext's write phase: under ent.mu it builds
-// the pool, rebuilds it for a larger budget, or applies a new sizing,
-// then releases the lock (on every path).
-func (e *Engine) growPRRPool(ctx context.Context, ent *poolEntry, rg *reqGraph, seeds []int32, opt core.Options, spec *modeSpec, sizeKey string, out *BoostResult) error {
+// writePhase builds the entry's pool, grows or rebuilds it to cover
+// pl's request, or finds that a racing query already did, all under
+// ent.mu; it releases the lock on every path. out reports this write
+// phase alone: only the write phase whose pool is served reports.
+func (e *Engine) writePhase(ctx context.Context, ent *poolEntry, pl poolPlan, out *BoostResult) error {
+	b := pl.base()
+	out.CacheHit, out.Rebuilt, out.NewSamples = false, false, 0
 	lockEntry(ent)
 	if err := ctx.Err(); err != nil {
 		// Canceled while blocked on the singleflight lock: nothing was
@@ -971,67 +972,51 @@ func (e *Engine) growPRRPool(ctx context.Context, ent *poolEntry, rg *reqGraph, 
 	}
 	switch {
 	case ent.pool == nil:
-		g2, err := rg.get()
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return err
+		// The content-derived graph is only materialized here: warm
+		// queries never pay the derive.
+		g2, err := b.rg.get()
+		var pool servedPool
+		if err == nil {
+			pool, err = pl.build(ctx, g2)
 		}
-		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
 		if err != nil {
+			// The half-built pool is discarded whole; the entry is handed
+			// to a waiting follower or dropped, never cached.
 			e.abandonColdBuild(ent)
 			return e.noteRequestErr(err)
 		}
-		ent.pool = pool
-		ent.derived = !spec.content.Identity()
-		ent.sized = map[string]bool{sizeKey: true}
+		ent.pool, ent.derived = pool, !b.rg.content.Identity()
 		ent.ready.Store(true)
-		out.NewSamples = pool.Size()
-		e.ctr.poolMisses.Add(1)
-		e.ctr.prrGenerated.Add(int64(out.NewSamples))
-	case ent.pool.K() < opt.K:
-		// Generation-time pruning depends on k; a bigger budget needs a
-		// rebuild. The new pool serves this and every smaller k after it.
-		// On failure keep the old pool — it still serves smaller k.
-		g2, err := rg.get()
-		if err != nil {
-			ent.mu.Unlock()
-			return err
-		}
-		pool, err := core.BuildPoolContext(ctx, g2, seeds, opt, spec.prrMode)
+		out.NewSamples = pool.samples()
+		b.ctr.poolMisses.Add(1)
+	case ent.covers(pl):
+		// Another query raced us here and grew the pool between the read
+		// and write locks.
+		out.CacheHit = true
+		b.ctr.poolHits.Add(1)
+	default:
+		// A failed growth (canceled or faulted) merges nothing, and a
+		// failed rebuild keeps the old pool — it still serves what it
+		// served before — so the entry stays.
+		fresh, added, err := pl.grow(ctx, ent.pool)
 		if err != nil {
 			ent.mu.Unlock()
 			return e.noteRequestErr(err)
 		}
-		ent.pool = pool
-		ent.derived = !spec.content.Identity()
-		ent.sized = map[string]bool{sizeKey: true}
-		ent.clearResults() // a rebuilt pool may repeat generation numbers
-		out.Rebuilt = true
-		out.NewSamples = pool.Size()
-		e.ctr.poolRebuilds.Add(1)
-		e.ctr.prrGenerated.Add(int64(out.NewSamples))
-	default:
-		// Another query raced us here and finished the sizing between the
-		// read and write locks; or this sizing still needs a growth pass.
-		// A failed growth (canceled or faulted) merges nothing — the pool
-		// keeps serving its current sizings, so the entry stays.
-		var added int
-		if !ent.sized[sizeKey] {
-			var err error
-			if added, err = core.GrowPoolContext(ctx, ent.pool, opt); err != nil {
-				ent.mu.Unlock()
-				return e.noteRequestErr(err)
+		if fresh != nil {
+			ent.pool = fresh
+			ent.clearResults() // a rebuilt pool may repeat generation numbers
+			out.Rebuilt, out.NewSamples = true, fresh.samples()
+			b.ctr.poolRebuilds.Add(1)
+		} else {
+			out.CacheHit, out.NewSamples = true, added
+			b.ctr.poolHits.Add(1)
+			if added > 0 {
+				b.ctr.poolExtensions.Add(1)
 			}
-			ent.sized[sizeKey] = true
-		}
-		out.CacheHit = true
-		out.NewSamples = added
-		e.ctr.poolHits.Add(1)
-		if added > 0 {
-			e.ctr.poolExtensions.Add(1)
-			e.ctr.prrGenerated.Add(int64(added))
 		}
 	}
+	b.ctr.samples.Add(int64(out.NewSamples))
 	e.accountBytes(ent, ent.pool.MemoryEstimate())
 	ent.mu.Unlock()
 	return nil
@@ -1112,9 +1097,36 @@ func validatePrefilter(prefilter, k int) error {
 // finishBoost runs (or recalls) the selection phase for a ready pool.
 // Callers hold ent.mu.RLock; ent.pool is immutable for the duration.
 // kboost:holds mu
-func (e *Engine) finishBoost(ctx context.Context, ent *poolEntry, out *BoostResult, opt core.Options, pre int) (*BoostResult, error) {
+func (e *Engine) finishBoost(ctx context.Context, ent *poolEntry, pl poolPlan, out *BoostResult, k, prefilter int) (*BoostResult, error) {
+	b := pl.base()
 	pool := ent.pool
-	key := resultKey{gen: pool.Generation(), k: opt.K, pre: pre}
+	out.PoolK = pool.budget()
+	key := resultKey{gen: pool.Generation(), k: k}
+	var cands []int32
+	if prefilter > 0 {
+		// Tier-0 pre-filter: the greedy only considers the closed-form
+		// two-hop ranking's shortlist, under the pool model's normalizers.
+		// Deterministic in (graph, seeds, cap), so the result cache can
+		// key on the cap alone.
+		g2, err := b.rg.get()
+		if err != nil {
+			return nil, err
+		}
+		cands = approx.BoostCandidates(g2, b.seeds, prefilter, pool.Norms())
+		if len(cands) >= prefilter {
+			key.pre = prefilter
+		} else {
+			// A shorter shortlist means the two-hop ranking ran out of
+			// nodes with any boostable path from the seeds: restricting the
+			// greedy to it would silently degrade (and cache!) the result,
+			// so fall back to unrestricted selection — pre stays 0, sharing
+			// the exact queries' cache slot.
+			cands = nil
+		}
+	}
+	if key.pre == 0 {
+		key.cand = pl.candCap(k)
+	}
 
 	ent.resMu.Lock()
 	if ent.resultsGen != key.gen {
@@ -1125,12 +1137,11 @@ func (e *Engine) finishBoost(ctx context.Context, ent *poolEntry, out *BoostResu
 	if cached != nil {
 		out.Result = copyResult(cached)
 		out.ResultCached = true
-		out.PoolK = pool.K()
-		e.ctr.resultHits.Add(1)
+		b.ctr.resultHits.Add(1)
 		return out, nil
 	}
 
-	res, err := core.BoostFromPoolContext(ctx, pool, opt)
+	res, err := pl.choose(ctx, pool, key, cands)
 	if err != nil {
 		return nil, e.noteRequestErr(err)
 	}
@@ -1144,7 +1155,6 @@ func (e *Engine) finishBoost(ctx context.Context, ent *poolEntry, out *BoostResu
 	ent.resMu.Unlock()
 
 	out.Result = copyResult(res)
-	out.PoolK = pool.K()
 	return out, nil
 }
 
@@ -1166,8 +1176,6 @@ func (ent *poolEntry) clearResults() {
 	ent.results, ent.resultsGen = nil, 0
 	ent.resMu.Unlock()
 }
-
-// --- the pooled simulation serving path ("lt", "sir", "kthresh") ---
 
 // defaultSimProfiles is the Monte-Carlo profile budget when a request
 // does not set one (matching lt.Options' historical default).
@@ -1198,255 +1206,6 @@ func validateSimSeeds(g *graph.Graph, seeds []int32) error {
 		}
 	}
 	return nil
-}
-
-// boostSim answers a simulation-mode boosting query from the cached
-// profile pool for (graph snapshot, mode spec, seed set): warm queries
-// reuse (and, when the request asks for more simulations, extend in
-// place) the pool's pre-sampled possible worlds, and identical repeat
-// queries are answered from the generation-keyed result cache without
-// running selection at all. Sim pools have no generation budget —
-// profiles are k-independent — so unlike the PRR path there is no
-// rebuild case. The profile RNG seed is fixed at pool construction; a
-// later query's Seed does not re-sample a cached pool (register a new
-// query with different seeds, or rely on eviction, to draw fresh
-// worlds). simAcquire returns holding ent.mu.RLock, which covers the
-// ent.sim reads below.
-// kboost:holds mu
-func (e *Engine) boostSim(ctx context.Context, spec *modeSpec, req BoostRequest) (*BoostResult, error) {
-	g, version, err := e.snapshotFor(req.GraphID)
-	if err != nil {
-		return nil, err
-	}
-	rg := &reqGraph{base: g, content: spec.content}
-	seeds := canonicalSeeds(req.Seeds)
-	if err := validateSimBoost(g, seeds, req.K); err != nil {
-		return nil, err
-	}
-	if err := validatePrefilter(req.Prefilter, req.K); err != nil {
-		return nil, err
-	}
-	sc := e.simCtr(spec.name)
-	e.ctr.boostQueries.Add(1)
-	sc.boostQueries.Add(1)
-	// A boost query's simulation budget is a quality floor, so an
-	// omitted Sims means the full default — unlike estimates, which
-	// reuse a cached pool lazily at whatever size it has.
-	if req.Sims <= 0 {
-		req.Sims = defaultSimProfiles
-	}
-	ent, hit, added, err := e.simAcquire(ctx, spec, sc, req, rg, version, seeds)
-	if err != nil {
-		return nil, err
-	}
-	defer ent.mu.RUnlock()
-	out := &BoostResult{CacheHit: hit, NewSamples: added, GraphVersion: version}
-	if req.Prefilter > 0 {
-		// Tier-0 pre-filter: rank candidates with the closed-form two-hop
-		// score under the pool's model normalizers instead of the model's
-		// default ranking. CandCap is ignored — the shortlist IS the cap.
-		g2, err := rg.get()
-		if err != nil {
-			return nil, err
-		}
-		cands := approx.BoostCandidates(g2, seeds, req.Prefilter, ent.sim.Norms())
-		if len(cands) >= req.Prefilter {
-			return e.finishBoostSim(ctx, ent, sc, out, req.K, 0, req.Prefilter, cands)
-		}
-		// Shortlist ran dry (fewer nonzero-score candidates than the
-		// cap): fall through to unrestricted selection under pre=0 so the
-		// degraded shortlist is neither used nor cached.
-	}
-	return e.finishBoostSim(ctx, ent, sc, out, req.K, spec.sim.CandidateCap(req.K, req.CandCap), 0, nil)
-}
-
-// simAcquire returns the pool entry for (graph snapshot, mode tag,
-// seeds) with its profile pool built or extended to at least the
-// requested simulation count, holding ent.mu for reading on success
-// (the caller must RUnlock). sims <= 0 is lazy: an existing pool is
-// reused at whatever size it has (a read must not silently trigger an
-// expensive extension), and only a cold build falls back to
-// defaultSimProfiles. hit reports whether a cached pool served the
-// query (true even when it was extended in place); added is the number
-// of freshly generated profiles. The content-derived graph is only
-// materialized on a cold build — warm queries never pay the derive.
-func (e *Engine) simAcquire(ctx context.Context, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, version uint64, seeds []int32) (ent *poolEntry, hit bool, added int, err error) {
-	key := poolKey(req.GraphID, version, spec.tag(), seeds)
-	ent = e.acquireEntry(key, req.GraphID, version)
-
-	// Fast path: the pool exists and already holds enough profiles —
-	// concurrent warm queries share the read lock and run in parallel.
-	rlockEntry(ent)
-	if ent.simCovers(req.Sims) {
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-		return ent, true, 0, nil
-	}
-	ent.mu.RUnlock()
-	if hit, added, err = e.growSimPool(ctx, ent, spec, sc, req, rg, seeds); err != nil {
-		return nil, false, 0, err
-	}
-	if hit, added, err = e.rlockSimPool(ctx, ent, spec, sc, req, rg, seeds, hit, added); err != nil {
-		return nil, false, 0, err
-	}
-	return ent, hit, added, nil
-}
-
-// rlockSimPool is the read phase that follows growSimPool: it takes
-// ent.mu for reading once the entry holds a pool covering the request,
-// passing through the write phase's hit and added. The downgrade is not
-// atomic: a PATCH's repairEntry can empty the entry between the write
-// phase's Unlock and this RLock, so a failed re-check runs the write
-// phase again (whose hit and added then stand).
-func (e *Engine) rlockSimPool(ctx context.Context, ent *poolEntry, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, seeds []int32, hit bool, added int) (bool, int, error) {
-	for {
-		ent.mu.RLock()
-		if ent.simCovers(req.Sims) {
-			return hit, added, nil
-		}
-		ent.mu.RUnlock()
-		var err error
-		if hit, added, err = e.growSimPool(ctx, ent, spec, sc, req, rg, seeds); err != nil {
-			return false, 0, err
-		}
-	}
-}
-
-// simCovers reports whether ent holds a sim pool with at least sims
-// profiles (any sim pool, when sims <= 0).
-// kboost:holds mu
-func (ent *poolEntry) simCovers(sims int) bool {
-	return ent.sim != nil && ent.sim.NumProfiles() >= sims
-}
-
-// growSimPool is simAcquire's write phase: under ent.mu it builds the
-// pool or extends it to req.Sims profiles, then releases the lock (on
-// every path). hit reports whether a cached pool served the request;
-// added is the number of freshly generated profiles.
-func (e *Engine) growSimPool(ctx context.Context, ent *poolEntry, spec *modeSpec, sc *simCounters, req BoostRequest, rg *reqGraph, seeds []int32) (hit bool, added int, err error) {
-	sims := req.Sims
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	lockEntry(ent)
-	if err := ctx.Err(); err != nil {
-		// Canceled while blocked on the singleflight lock: nothing was
-		// built on our behalf, walk away and leave the entry to the
-		// builder (see BoostContext).
-		ent.mu.Unlock()
-		return false, 0, e.noteRequestErr(err)
-	}
-	switch {
-	case ent.sim != nil && sims <= 0:
-		// Lazy request racing a concurrent build: reuse whatever exists.
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-	case ent.sim == nil:
-		if sims <= 0 {
-			sims = defaultSimProfiles
-		}
-		g2, err := rg.get()
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return false, 0, err
-		}
-		pool, err := spec.sim.NewPool(g2, seeds, seed, e.workersFor(req.Workers))
-		if err != nil {
-			e.abandonColdBuild(ent)
-			return false, 0, err
-		}
-		if err := pool.ExtendContext(ctx, sims); err != nil {
-			// The half-sampled pool is discarded whole; the entry is
-			// handed to a waiting follower or dropped, never cached.
-			e.abandonColdBuild(ent)
-			return false, 0, e.noteRequestErr(err)
-		}
-		ent.sim = pool
-		ent.derived = !spec.content.Identity()
-		ent.ready.Store(true)
-		added = sims
-		e.ctr.poolMisses.Add(1)
-		sc.poolMisses.Add(1)
-		sc.profiles.Add(int64(added))
-	case ent.sim.NumProfiles() < sims:
-		added = sims - ent.sim.NumProfiles()
-		if err := ent.sim.ExtendContext(ctx, sims); err != nil {
-			// A failed extension merges nothing and restores the RNG
-			// state, so the cached pool is exactly as it was: keep it.
-			ent.mu.Unlock()
-			return false, 0, e.noteRequestErr(err)
-		}
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-		e.ctr.poolExtensions.Add(1)
-		sc.poolExtensions.Add(1)
-		sc.profiles.Add(int64(added))
-	default:
-		// Another query raced us here and finished the extension between
-		// the read and write locks.
-		hit = true
-		e.ctr.poolHits.Add(1)
-		sc.poolHits.Add(1)
-	}
-	e.accountBytes(ent, ent.sim.MemoryEstimate())
-	ent.mu.Unlock()
-	return hit, added, nil
-}
-
-// finishBoostSim runs (or recalls) the pooled greedy for a ready
-// pool. Callers hold ent.mu.RLock; ent.sim is immutable for the
-// duration.
-// kboost:holds mu
-func (e *Engine) finishBoostSim(ctx context.Context, ent *poolEntry, sc *simCounters, out *BoostResult, k, candCap, pre int, cands []int32) (*BoostResult, error) {
-	pool := ent.sim
-	key := resultKey{gen: pool.Generation(), k: k, cand: candCap, pre: pre}
-
-	ent.resMu.Lock()
-	if ent.resultsGen != key.gen {
-		ent.results, ent.resultsGen = nil, key.gen
-	}
-	cached := ent.results[key]
-	ent.resMu.Unlock()
-	if cached != nil {
-		out.Result = copyResult(cached)
-		out.ResultCached = true
-		e.ctr.resultHits.Add(1)
-		sc.resultHits.Add(1)
-		return out, nil
-	}
-
-	start := time.Now()
-	var chosen []int32
-	var est float64
-	var err error
-	if pre > 0 {
-		chosen, est, err = pool.GreedyBoostAmongContext(ctx, k, cands)
-	} else {
-		chosen, est, err = pool.GreedyBoostContext(ctx, k, candCap)
-	}
-	if err != nil {
-		return nil, e.noteRequestErr(err)
-	}
-	res := &core.Result{
-		BoostSet:      chosen,
-		EstBoost:      est,
-		Samples:       pool.NumProfiles(),
-		SelectionTime: time.Since(start),
-	}
-	ent.resMu.Lock()
-	if ent.resultsGen == key.gen && len(ent.results) < maxCachedResults {
-		if ent.results == nil {
-			ent.results = make(map[resultKey]*core.Result)
-		}
-		ent.results[key] = res
-	}
-	ent.resMu.Unlock()
-
-	out.Result = copyResult(res)
-	return out, nil
 }
 
 // accountBytes records a pool's current memory estimate into the
@@ -1711,7 +1470,6 @@ func (e *Engine) EstimateDegraded(ctx context.Context, req EstimateRequest) (Est
 	// Degraded answers only meet an explicit error target by luck; report
 	// the honest default (no target ⇒ trivially met, like tier dispatch).
 	out.ErrorTargetMet = req.MaxError <= 0
-	e.ctr.estimateQueries.Add(1)
 	e.ctr.degradedEstimates.Add(1)
 	return out, nil
 }
@@ -1732,7 +1490,7 @@ func (e *Engine) estimateTier2(ctx context.Context, spec *modeSpec, req Estimate
 	if g, err = spec.content.Apply(g); err != nil {
 		return EstimateResult{}, err
 	}
-	e.ctr.estimateQueries.Add(1)
+	e.modeCtr(spec).estimateQueries.Add(1)
 	opt := diffusion.Options{
 		Sims:    req.Sims,
 		Seed:    req.Seed,
@@ -1754,18 +1512,20 @@ func (e *Engine) estimateTier2(ctx context.Context, spec *modeSpec, req Estimate
 
 // estimateSim evaluates σ̂ and Δ̂ under a pooled simulation model on
 // the cached profile pool for (graph snapshot, mode, seed set),
-// building or extending the pool exactly like a boost query in the
-// same mode would — so estimates issued after a boost query (or vice
-// versa) hit the same warm pool, and both legs of Δ̂ share possible
-// worlds (coupled, low-variance). simAcquire returns holding
-// ent.mu.RLock, which covers the ent.sim reads below.
+// acquiring it exactly like a boost query in the same mode would — so
+// estimates issued after a boost query (or vice versa) hit the same
+// warm pool, and both legs of Δ̂ share possible worlds (coupled,
+// low-variance). Sims <= 0 is lazy: an existing pool is reused at
+// whatever size it has (a read must not silently trigger an expensive
+// extension), and only a cold build falls back to defaultSimProfiles.
+// acquire returns holding ent.mu.RLock, which covers the pool reads
+// below.
 // kboost:holds mu
 func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRequest) (EstimateResult, error) {
 	g, version, err := e.snapshotFor(req.GraphID)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	rg := &reqGraph{base: g, content: spec.content}
 	seeds := canonicalSeeds(req.Seeds)
 	if err := validateSimSeeds(g, seeds); err != nil {
 		return EstimateResult{}, err
@@ -1775,26 +1535,25 @@ func (e *Engine) estimateSim(ctx context.Context, spec *modeSpec, req EstimateRe
 			return EstimateResult{}, fmt.Errorf("engine: boost node %d out of range [0,%d)", v, g.N())
 		}
 	}
-	sc := e.simCtr(spec.name)
-	e.ctr.estimateQueries.Add(1)
-	sc.estimateQueries.Add(1)
-	ent, hit, _, err := e.simAcquire(ctx, spec, sc, BoostRequest{
-		GraphID: req.GraphID, Seeds: seeds,
-		Sims: req.Sims, Seed: req.Seed, Workers: req.Workers,
-	}, rg, version, seeds)
+	pl := &simPlan{model: spec.sim, sims: req.Sims, seed: req.Seed, workers: e.workersFor(req.Workers)}
+	pl.init(g, spec, seeds, e.modeCtr(spec))
+	pl.ctr.estimateQueries.Add(1)
+	var acq BoostResult
+	ent, err := e.acquire(ctx, poolKey(req.GraphID, version, spec.tag(), seeds), req.GraphID, version, pl, &acq)
 	if err != nil {
 		return EstimateResult{}, err
 	}
 	defer ent.mu.RUnlock()
-	spread, err := ent.sim.EstimateSpread(req.Boost)
+	pool := ent.pool.(simPool)
+	spread, err := pool.EstimateSpread(req.Boost)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	out := EstimateResult{Spread: spread, CacheHit: hit}
+	out := EstimateResult{Spread: spread, CacheHit: acq.CacheHit}
 	if len(req.Boost) > 0 {
 		// Differenced on the pool's integer activation sums, so it agrees
 		// bit-for-bit with the Δ̂ a boost query reports for the same set.
-		boost, err := ent.sim.EstimateBoost(req.Boost)
+		boost, err := pool.EstimateBoost(req.Boost)
 		if err != nil {
 			return EstimateResult{}, err
 		}

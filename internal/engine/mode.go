@@ -3,14 +3,14 @@ package engine
 // This file is the engine's diffusion-mode registry. Every query names
 // a mode; resolveSpec canonicalizes it ("" and "full" are "ic"),
 // validates the per-model knobs, and returns a modeSpec the serving
-// paths dispatch on. Two families exist behind one registry:
+// path resolves a plan from (plan.go). Two families exist behind one
+// registry:
 //
 //   - the PRR family ("ic" and its lower-bound variant "lb"), whose
-//     k-dependent pools and approximation guarantees keep their own
-//     specialized path (Boost's PRR branch), and
+//     pools carry a generation budget k and the paper's approximation
+//     guarantees, and
 //   - the pooled simulation family (every internal/model Model: "lt",
-//     "sir", "kthresh"), served by the generic boostSim/estimateSim
-//     path written once against model.Pool.
+//     "sir", "kthresh"), whose profile pools serve every k.
 //
 // The registry is also where the optional content-properties modifier
 // lives: a request carrying Content computes against a derived graph
@@ -160,17 +160,24 @@ func (r *reqGraph) get() (*graph.Graph, error) {
 	return r.derived, r.err
 }
 
-// simCounters is one simulation mode's query/cache counter block —
-// the per-mode breakdown behind Stats.SimModes. All fields are atomic:
-// the warm path bumps them without any lock.
-type simCounters struct {
+// modeCounters is one mode's query and pool-cache counter block. Every
+// mode has one; Stats sums them into the engine-wide pool counters and
+// lists the simulation modes' blocks in Stats.SimModes. All fields are
+// atomic: the warm path bumps them without any lock.
+type modeCounters struct {
+	// sim marks a simulation mode's block (listed in SimModes); the PRR
+	// modes' samples sum into PRRGenerated instead.
+	sim bool
+
 	boostQueries    atomic.Int64
 	estimateQueries atomic.Int64
 	poolHits        atomic.Int64
 	poolMisses      atomic.Int64
+	poolRebuilds    atomic.Int64
 	poolExtensions  atomic.Int64
 	resultHits      atomic.Int64
-	profiles        atomic.Int64
+	// samples counts the PRR-graphs or profiles the mode generated.
+	samples atomic.Int64
 }
 
 // SimModeStats is the exported snapshot of one simulation mode's
@@ -185,15 +192,15 @@ type SimModeStats struct {
 	Profiles        int64 `json:"profiles"`
 }
 
-// simCtr returns (creating on first use) the counter block for a
-// simulation mode.
-func (e *Engine) simCtr(name string) *simCounters {
-	e.simCtrMu.Lock()
-	defer e.simCtrMu.Unlock()
-	sc := e.simCtrs[name]
-	if sc == nil {
-		sc = &simCounters{}
-		e.simCtrs[name] = sc
+// modeCtr returns (creating on first use) the counter block for
+// spec's mode.
+func (e *Engine) modeCtr(spec *modeSpec) *modeCounters {
+	e.modeCtrMu.Lock()
+	defer e.modeCtrMu.Unlock()
+	mc := e.modeCtrs[spec.name]
+	if mc == nil {
+		mc = &modeCounters{sim: spec.sim != nil}
+		e.modeCtrs[spec.name] = mc
 	}
-	return sc
+	return mc
 }

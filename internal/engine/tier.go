@@ -232,14 +232,14 @@ func (e *Engine) estimateFloor(ctx context.Context, spec *modeSpec, req Estimate
 	}
 	if norm, ok := spec.tier0Norms(g2); ok {
 		out := estimateTier0(g2, req, norm)
-		e.ctr.estimateTier0.Add(1)
+		e.countTier(0, spec)
 		return out, nil
 	}
 	out, err := e.estimateTier1(req, g2, spec)
 	if err != nil {
 		return EstimateResult{}, err
 	}
-	e.ctr.estimateTier1.Add(1)
+	e.countTier(1, spec)
 	return out, nil
 }
 
@@ -278,13 +278,11 @@ func pickTier(cal *calibration, req EstimateRequest) (tier int, errMet bool) {
 	return tier, tier >= errTier
 }
 
-// countTier bumps the query counters for a tier-0/1 serve (the tier-2
-// path counts itself inside the full estimators).
+// countTier bumps the query counters, the mode's included, for a
+// tier-0/1 serve (the tier-2 path counts itself inside the full
+// estimators).
 func (e *Engine) countTier(tier int, spec *modeSpec) {
-	e.ctr.estimateQueries.Add(1)
-	if spec.sim != nil {
-		e.simCtr(spec.name).estimateQueries.Add(1)
-	}
+	e.modeCtr(spec).estimateQueries.Add(1)
 	if tier == 0 {
 		e.ctr.estimateTier0.Add(1)
 	} else {

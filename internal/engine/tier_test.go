@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -273,6 +274,26 @@ func TestBoostPrefilter(t *testing.T) {
 		}
 		if fmt.Sprint(repeat.BoostSet) != fmt.Sprint(got.BoostSet) {
 			t.Fatalf("mode %q: cached prefiltered set diverges", mode)
+		}
+	}
+}
+
+// TestEstimateDegradedCountsMode pins that an estimate degraded by
+// admission pressure counts toward its mode's counter block, exactly
+// like a tiered serve of the same tier does.
+func TestEstimateDegradedCountsMode(t *testing.T) {
+	e := newTestEngine(t, Options{})
+	for _, mode := range []string{"lt", "sir"} {
+		before := e.Stats()
+		if _, err := e.EstimateDegraded(context.Background(), tierRequest(mode)); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		after := e.Stats()
+		if got, want := after.SimModes[mode].EstimateQueries, before.SimModes[mode].EstimateQueries+1; got != want {
+			t.Errorf("%s: sim_modes estimate_queries = %d, want %d", mode, got, want)
+		}
+		if got, want := after.EstimateQueries, before.EstimateQueries+1; got != want {
+			t.Errorf("%s: estimate_queries = %d, want %d", mode, got, want)
 		}
 	}
 }

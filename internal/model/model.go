@@ -7,14 +7,14 @@
 // resident bytes (MemoryEstimate) so the engine's byte-based LRU can
 // treat every model family fairly.
 //
-// The engine's snapshot/LRU/result-cache/repair/tier plumbing is
-// written once against these interfaces; "adding a scenario" is one
-// Model implementation. Three ship here: the boosted Linear Threshold
-// model (wrapping internal/lt), boosted SIR (model/sir) and k-threshold
-// complex contagion (model/kthresh). The IC/PRR family stays on its own
-// specialized path — PRR pools are k-dependent and carry approximation
-// guarantees the generic pool contract cannot express — but shares the
-// engine's mode registry.
+// "Adding a scenario" is one Model implementation. Three ship here:
+// the boosted Linear Threshold model (wrapping internal/lt), boosted
+// SIR (model/sir) and k-threshold complex contagion (model/kthresh).
+// The engine serves them and the IC/PRR family through one
+// snapshot/LRU/result-cache/repair/tier path; PRR pools are
+// k-dependent and carry approximation guarantees this contract cannot
+// express, so the engine wraps each family in a small plan of its own
+// rather than widening these interfaces.
 //
 // SIR and k-threshold share one pool kernel, model/simpool: profile
 // generation, flat base-world storage, the frontier index, estimation,
