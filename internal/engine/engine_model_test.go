@@ -17,7 +17,7 @@ import (
 	"github.com/kboost/kboost/internal/model"
 )
 
-// simModes are the pooled simulation modes served by boostSim; every
+// simModes are the pooled simulation modes served by simPlan; every
 // generic-path test loops over all of them so a regression in one
 // model's adapter cannot hide behind the others.
 var simModes = []string{"lt", "sir", "kthresh"}

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
 )
 
@@ -232,5 +233,47 @@ func TestGraphPatchStatsEndpoint(t *testing.T) {
 	}
 	if fmt.Sprint(stats["graph_versions"]) == "" {
 		t.Fatal("graph_versions missing")
+	}
+}
+
+// TestShardPanicDuringRepair: a panic in a resampling shard while a
+// PATCH repairs an lt pool must not take the server down. The repair
+// returns the contained panic, the engine drops the pool instead of
+// serving it half-repaired, and the next lt query rebuilds it cold on
+// the patched graph.
+func TestShardPanicDuringRepair(t *testing.T) {
+	resetFaults(t)
+	srv, _ := newPatchServer(t, ServerOptions{})
+	g := testGraph(t)
+	resp, body := doGraphReq(t, "POST", srv.URL+"/v1/graphs/prod", testToken, graphText(t, g))
+	if resp.StatusCode != 201 {
+		t.Fatalf("upload: %d %v", resp.StatusCode, body)
+	}
+	const boost = `{"graph":"prod","seeds":[0,20,40],"k":3,"seed":11,"workers":2,"mode":"lt","sims":400}`
+	if resp, body := postJSON(t, srv.URL+"/v1/boost", boost); resp.StatusCode != 200 {
+		t.Fatalf("warm-up boost: %d %v", resp.StatusCode, body)
+	}
+
+	faults.Enable(faults.PoolBuildShard, faults.Fault{Mode: "panic", Count: 1})
+	resp, body = doGraphReq(t, "PATCH", srv.URL+"/v1/graphs/prod/edges", testToken, deltaJSON(t, testDelta(t, g)))
+	if faults.Enabled() {
+		t.Fatal("the repair never reached a resampling shard")
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("patch: %d %v", resp.StatusCode, body)
+	}
+	if body["version"] != float64(2) || body["pools_repaired"] != float64(0) || body["pools_dropped"] != float64(1) {
+		t.Fatalf("patch response %v, want version 2 with the lt pool dropped", body)
+	}
+
+	resp, body = postJSON(t, srv.URL+"/v1/boost", boost)
+	if resp.StatusCode != 200 {
+		t.Fatalf("boost after failed repair: %d %v", resp.StatusCode, body)
+	}
+	if body["cache_hit"] != false || body["graph_version"] != float64(2) || body["new_prr_graphs"] != float64(400) {
+		t.Fatalf("boost after failed repair %v, want a cold rebuild of 400 profiles on version 2", body)
+	}
+	if code, _ := getStatus(t, srv.URL+"/v1/stats"); code != 200 {
+		t.Fatalf("stats after failed repair: %d", code)
 	}
 }

@@ -1,17 +1,19 @@
 package lt
 
-// This file is the pooled Monte-Carlo evaluation subsystem for the
-// boosted-LT model: the LT analogue of internal/prr's PRR-graph pools.
-// A Pool holds R pre-sampled "threshold profiles" — possible worlds of
-// the LT diffusion, each defined by a deterministic per-node threshold
-// draw θ(i,v) — together with the cached fixed point of every profile
-// under the empty boost set. Because LT activation with fixed
-// thresholds is monotone in the edge weights, and boosting only raises
-// weights, a boosted world's active set always contains the base
-// world's; warm queries therefore evaluate boost sets *incrementally*
-// from the cached base fixed point instead of re-running the cascade
-// from scratch, and the pool can be grown in place and reused across
-// queries exactly like a PRR pool.
+// This file is boosted LT's transmission rule for the simpool kernel,
+// which owns the pool itself: profile seeds, sharded Extend and
+// Resample, flat base-world storage, the frontier index, estimation
+// and memory accounting. A profile is a "threshold profile" — a
+// possible world of the LT diffusion, defined by a deterministic
+// per-node threshold draw θ(i,v) — and its cached base world is the
+// fixed point under the empty boost set: the active set, and the
+// frontier (touched but inactive nodes) with each frontier node's
+// accumulated in-weight as the kernel's aux value. Because LT
+// activation with fixed thresholds is monotone in the edge weights, and
+// boosting only raises weights, a boosted world's active set always
+// contains the base world's; boost sets therefore evaluate
+// incrementally from the cached base fixed point instead of re-running
+// the cascade from scratch.
 //
 // Thresholds are a pure hash of (profile seed, node id) rather than a
 // lazily consumed RNG stream, so θ(i,v) does not depend on cascade
@@ -20,681 +22,249 @@ package lt
 // and makes every pool estimate bit-exact regardless of worker count.
 
 import (
-	"context"
-	"fmt"
-	"math"
-	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
-
-	"github.com/kboost/kboost/internal/faults"
 	"github.com/kboost/kboost/internal/graph"
-	"github.com/kboost/kboost/internal/panicsafe"
-	"github.com/kboost/kboost/internal/rng"
+	"github.com/kboost/kboost/internal/model/simpool"
 )
 
-// cancelStride is the amortized cooperative-cancellation poll interval
-// inside shard simulation loops: one ctx check per 64 profiles keeps
-// the per-profile overhead at an untaken branch while bounding
-// cancellation latency to a handful of cascade simulations.
-const cancelStride = 64
-
 // Pool is a growable collection of boosted-LT threshold profiles for a
-// fixed (graph, seed set). Profiles are independent of the boost budget
-// k, so one pool serves every query against its seed set. Mutation
-// (Extend) must be externally serialized against everything else;
-// estimation and selection only read the pool and may run concurrently
-// with each other.
+// fixed (graph, seed set): the simpool kernel under the LT rule, with
+// CELF selection (select.go) and in-place repair (repair.go). Profiles
+// are independent of the boost budget k, so one pool serves every query
+// against its seed set. Mutation (Extend, Repair) must be externally
+// serialized against everything else; estimation and selection only
+// read the pool and may run concurrently with each other.
 type Pool struct {
-	m        *Model
-	g        *graph.Graph
-	seeds    []int32 // sorted, deduplicated
-	seedMask []bool
-	workers  int
-	root     *rng.Source
-
-	// profileSeed[i] seeds the threshold hash of profile i. Seeds are
-	// drawn serially from root, so pool contents are independent of the
-	// worker count.
-	profileSeed []uint64
-
-	// Base-world state per profile, stored flat (CSR-style): the active
-	// set at quiescence under B = ∅, and the frontier — touched but
-	// inactive nodes — with their accumulated in-weight. Both node lists
-	// are sorted per profile so membership tests are binary searches.
-	// Offsets are int32 like prr's deltaIndex: 2^31 items would mean a
-	// pool ≥ 8 GiB, far past the engine's byte budget (eviction kicks in
-	// long before the offsets could wrap).
-	activeStart []int32
-	activeItems []int32
-	frontStart  []int32
-	frontItems  []int32
-	frontW      []float64
-
-	// baseSum is Σ_i |active_i|: the base spread numerator.
-	baseSum int64
-
-	// idxStart/idxItems: node -> profiles whose base frontier contains
-	// it (the inverted index driving warm greedy re-evaluation).
-	idxStart []int32
-	idxItems []int32
-
-	// generation counts Extend calls that added profiles; estimates and
-	// selections are pure functions of the pool contents, so callers may
-	// cache results keyed by (generation, query) and invalidate on change.
-	generation uint64
-
-	scratch sync.Pool // of *evalScratch
+	*simpool.Pool[*scratch, float64]
+	*Model          // the pool's graph and its in-weight normalizers
+	seedMask []bool // the kernel's seed mask, for the package's tests
 }
 
-// Norms returns the pool's per-node in-weight normalizers (see
-// Model.Norms). The slice aliases the pool's model and must not be
-// modified. kboost:aliased-view
-func (p *Pool) Norms() []float64 { return p.m.Norms() }
+// Fan-out thresholds: the minimum number of affected profiles per
+// estimate, and of profiles per CELF evaluation pass, before the work
+// fans out to the pool's workers; variables so tests can force the
+// parallel paths on small pools.
+var (
+	estimateParallelMin = 256
+	ltReEvalParallelMin = 64
+)
 
 // NewPool creates an empty pool for (g, seeds). seed determines every
 // profile the pool will ever contain; workers <= 0 means GOMAXPROCS.
 // Unlike PRR pools, pool contents do not depend on workers.
 func NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	p := &Pool{Model: New(g)}
+	n := g.N()
+	k, err := simpool.New(simpool.Rule[*scratch, float64]{
+		Name:                "lt",
+		AuxWidth:            1, // accumulated base in-weight
+		NewScratch:          func() *scratch { return newScratch(n) },
+		Base:                func(ps uint64, sh *simpool.Shard[float64], s *scratch) { p.base(p.Seeds(), ps, sh, s) },
+		Eval:                p.eval,
+		Simulate:            p.simulate,
+		Select:              p.celf,
+		EstimateParallelMin: estimateParallelMin,
+	}, g, seeds, seed, workers)
+	if err != nil {
+		return nil, err
 	}
-	for _, v := range seeds {
-		if v < 0 || int(v) >= g.N() {
-			return nil, fmt.Errorf("lt: seed %d out of range [0,%d)", v, g.N())
-		}
-	}
-	p := &Pool{
-		m:           New(g),
-		g:           g,
-		seedMask:    make([]bool, g.N()),
-		workers:     workers,
-		root:        rng.New(seed),
-		activeStart: []int32{0},
-		frontStart:  []int32{0},
-		idxStart:    make([]int32, g.N()+1),
-	}
-	for _, v := range seeds {
-		if !p.seedMask[v] {
-			p.seedMask[v] = true
-			p.seeds = append(p.seeds, v)
-		}
-	}
-	slices.Sort(p.seeds)
-	p.scratch.New = func() interface{} { return newEvalScratch(g.N()) }
+	p.Pool, p.seedMask = k, k.SeedMask()
 	return p, nil
 }
 
-// NumProfiles returns the number of sampled threshold profiles.
-func (p *Pool) NumProfiles() int { return len(p.profileSeed) }
-
-// Graph returns the influence graph the pool samples from.
-func (p *Pool) Graph() *graph.Graph { return p.g }
-
-// Seeds returns the pool's (sorted, deduplicated) seed set. The slice
-// is owned by the pool (kboost:aliased-view); callers must not modify
-// it.
-func (p *Pool) Seeds() []int32 { return p.seeds }
-
-// Generation identifies the pool's contents: it increments on every
-// Extend call that adds profiles.
-func (p *Pool) Generation() uint64 { return p.generation }
-
-// BaseSpread returns the pooled estimate of the unboosted LT spread
-// σ̂(∅), cached from the base fixed points.
-func (p *Pool) BaseSpread() float64 {
-	if len(p.profileSeed) == 0 {
-		return 0
-	}
-	return float64(p.baseSum) / float64(len(p.profileSeed))
-}
-
-// MemoryEstimate returns the pool's resident bytes: the flat profile
-// state (active and frontier CSRs, frontier weights), the inverted
-// index and the profile seeds — exact array lengths × element sizes,
-// matching the arena accounting prr.Pool reports, so the engine's
-// byte-based eviction compares the two pool families fairly.
-func (p *Pool) MemoryEstimate() int64 {
-	bytes := int64(len(p.activeItems)+len(p.frontItems)+len(p.idxItems)) * 4
-	bytes += int64(len(p.frontW)) * 8
-	bytes += int64(len(p.profileSeed)) * 8
-	bytes += int64(len(p.activeStart)+len(p.frontStart)+len(p.idxStart)) * 4
-	return bytes
-}
+// Norms returns the pool's per-node in-weight normalizers (see
+// Model.Norms). The slice aliases the pool's model and must not be
+// modified. kboost:aliased-view
+func (p *Pool) Norms() []float64 { return p.norm }
 
 // theta returns θ(i,v) ∈ (0,1): the threshold of node v in the profile
-// seeded by ps, as a splitmix64-style hash so the draw is independent
-// of evaluation order. A zero threshold would auto-activate any touched
-// node, so the (measure-zero) 0 output is clamped away.
+// seeded by ps, hashed so the draw is independent of evaluation order.
+// A zero threshold would auto-activate any touched node, so the
+// (measure-zero) 0 output is clamped away.
 func theta(ps uint64, v int32) float64 {
-	x := ps ^ (uint64(uint32(v))+1)*0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	t := float64(x>>11) * (1.0 / (1 << 53))
+	t := simpool.Hash01(ps ^ (uint64(uint32(v))+1)*0x9e3779b97f4a7c15)
 	if t == 0 {
 		t = 1e-18
 	}
 	return t
 }
 
-// evalScratch is the reusable per-worker state for profile evaluation:
-// dense arrays addressed by node id, cleaned after each profile via the
-// load and modification logs so reuse is O(touched), not O(n).
-type evalScratch struct {
-	wIn    []float64
-	active []bool
-	queue  []int32
-
-	loadedAct []int32 // nodes whose active flag was set by loadState
-	loadedW   []int32 // nodes whose wIn was set by loadState
-
+// scratch extends the kernel scratch with accumulated in-weights and a
+// push log. Every node whose weight changed since the last reset is in
+// pushNode or the loaded frontier, so reset clears them there; the push
+// log (with the weight each push overwrote) also lets CELF roll a
+// tentative cascade back.
+type scratch struct {
+	simpool.Scratch
+	wIn      []float64
+	front    []int32   // frontier whose weights load installed
 	pushNode []int32   // every push target, in order
 	pushPrev []float64 // wIn value before that push
-	actNode  []int32   // every activation, in order
-
-	tstamp []int32 // touch-collection / dedup stamps
-	tepoch int32   // kboost:epoch
+	pend     []pending // eval's recomputed boosted weights
 }
 
-// bumpTouchEpoch advances the touch stamp, clearing the stamp array
-// when the int32 epoch wraps so stale stamps can never read as current.
-// kboost:epoch-helper
-func (s *evalScratch) bumpTouchEpoch() {
-	if s.tepoch == math.MaxInt32 {
-		clear(s.tstamp)
-		s.tepoch = 0
+func newScratch(n int) *scratch {
+	return &scratch{Scratch: *simpool.NewScratch(n), wIn: make([]float64, n)}
+}
+
+// pending is one boosted node's recomputed in-weight.
+type pending struct {
+	v int32
+	w float64
+}
+
+// load installs a profile state (active set + frontier weights).
+func (s *scratch) load(active, front []int32, frontW []float64) {
+	s.Load(active)
+	for j, v := range front {
+		s.wIn[v] = frontW[j]
 	}
-	s.tepoch++
+	s.front = front
 }
-
-func newEvalScratch(n int) *evalScratch {
-	return &evalScratch{
-		wIn:    make([]float64, n),
-		active: make([]bool, n),
-		tstamp: make([]int32, n),
-	}
-}
-
-func (p *Pool) getScratch() *evalScratch  { return p.scratch.Get().(*evalScratch) }
-func (p *Pool) putScratch(s *evalScratch) { p.scratch.Put(s) }
 
 // reset clears every node the scratch touched since the last reset.
-func (s *evalScratch) reset() {
-	for _, v := range s.loadedAct {
-		s.active[v] = false
-	}
-	for _, v := range s.loadedW {
+func (s *scratch) reset() {
+	for _, v := range s.front {
 		s.wIn[v] = 0
 	}
 	for _, v := range s.pushNode {
 		s.wIn[v] = 0
 	}
-	for _, v := range s.actNode {
-		s.active[v] = false
-	}
-	s.loadedAct = s.loadedAct[:0]
-	s.loadedW = s.loadedW[:0]
+	s.front = nil
 	s.pushNode = s.pushNode[:0]
 	s.pushPrev = s.pushPrev[:0]
-	s.actNode = s.actNode[:0]
-	s.queue = s.queue[:0]
+	s.Scratch.Reset()
 }
 
-// loadState installs a profile state (active set + frontier weights)
-// into the scratch arrays.
-func (s *evalScratch) loadState(active, front []int32, frontW []float64) {
-	for _, u := range active {
-		s.active[u] = true
-	}
-	s.loadedAct = append(s.loadedAct, active...)
-	for j, v := range front {
-		s.wIn[v] = frontW[j]
-	}
-	s.loadedW = append(s.loadedW, front...)
-}
-
-// runCascade drains s.queue, pushing each newly active node's out-edge
-// weights into inactive neighbors and activating those whose
-// accumulated in-weight reaches their threshold. Edges into node t use
-// the boosted probability when inB[t] (inB may be nil; a tentatively
-// evaluated candidate is already active when the cascade starts, so
-// pushes into it never occur and it needs no mask entry). Every push
-// and activation is logged so the caller can either roll back
-// (tentative evaluation) or commit and reset. Returns the number of
-// activations (excluding nodes queued by the caller).
-func (p *Pool) runCascade(ps uint64, inB []bool, s *evalScratch) int {
-	g := p.g
-	activated := 0
-	for qi := 0; qi < len(s.queue); qi++ {
-		u := s.queue[qi]
-		to := g.OutTo(u)
-		pp := g.OutP(u)
-		pb := g.OutPBoost(u)
-		for i, t := range to {
-			if s.active[t] {
-				continue
-			}
-			w := pp[i]
-			if inB != nil && inB[t] {
-				w = pb[i]
-			}
-			s.pushNode = append(s.pushNode, t)
-			s.pushPrev = append(s.pushPrev, s.wIn[t])
-			s.wIn[t] += w / p.m.norm[t]
-			if s.wIn[t] >= theta(ps, t) {
-				s.active[t] = true
-				s.actNode = append(s.actNode, t)
-				s.queue = append(s.queue, t)
-				activated++
-			}
-		}
-	}
-	s.queue = s.queue[:0]
-	return activated
+// push sets v's in-weight to w, logging the overwritten value.
+func (s *scratch) push(v int32, w float64) {
+	s.pushNode = append(s.pushNode, v)
+	s.pushPrev = append(s.pushPrev, s.wIn[v])
+	s.wIn[v] = w
 }
 
 // rollback undoes pushes and activations past the given log marks,
 // restoring the state that was loaded (or committed) before them.
-func (s *evalScratch) rollback(pushMark, actMark int) {
+func (s *scratch) rollback(pushMark, actMark int) {
 	for i := len(s.pushNode) - 1; i >= pushMark; i-- {
 		s.wIn[s.pushNode[i]] = s.pushPrev[i]
 	}
-	for _, v := range s.actNode[actMark:] {
-		s.active[v] = false
+	for _, v := range s.ActNode[actMark:] {
+		s.Active[v] = false
 	}
 	s.pushNode = s.pushNode[:pushMark]
 	s.pushPrev = s.pushPrev[:pushMark]
-	s.actNode = s.actNode[:actMark]
+	s.ActNode = s.ActNode[:actMark]
 }
 
-// simulate runs one full fixed point from an empty scratch: seeds
-// activate unconditionally, then the cascade runs under boost mask inB.
-// It returns the active count and leaves the final state in s (caller
-// extracts what it needs, then resets).
-func (p *Pool) simulate(ps uint64, inB []bool, s *evalScratch) int {
-	for _, v := range p.seeds {
-		s.active[v] = true
-		s.actNode = append(s.actNode, v)
-		s.queue = append(s.queue, v)
+// cascade drains s.Queue, pushing each newly active node's out-edge
+// weights into inactive neighbors and activating those whose
+// accumulated in-weight reaches their threshold. Edges into node t use
+// the boosted probability when t is boosted (mask membership or the
+// tentative candidate extra). Every push and activation is logged so
+// the caller can either roll back (tentative evaluation) or commit and
+// reset. Returns the number of activations (excluding nodes queued by
+// the caller).
+func (m *Model) cascade(ps uint64, mask []bool, extra int32, s *scratch) int {
+	g := m.g
+	activated := 0
+	for qi := 0; qi < len(s.Queue); qi++ {
+		u := s.Queue[qi]
+		to := g.OutTo(u)
+		pp := g.OutP(u)
+		pb := g.OutPBoost(u)
+		for i, t := range to {
+			if s.Active[t] {
+				continue
+			}
+			w := pp[i]
+			if (mask != nil && mask[t]) || t == extra {
+				w = pb[i]
+			}
+			s.push(t, s.wIn[t]+w/m.norm[t])
+			if s.wIn[t] >= theta(ps, t) {
+				s.Activate(t)
+				activated++
+			}
+		}
 	}
-	return len(p.seeds) + p.runCascade(ps, inB, s)
+	s.Queue = s.Queue[:0]
+	return activated
+}
+
+// run activates seeds, then cascades under the boost mask to the fixed
+// point, leaving the final state in s. It returns the active count.
+func (m *Model) run(seeds []int32, ps uint64, mask []bool, s *scratch) int {
+	for _, v := range seeds {
+		s.Activate(v)
+	}
+	return len(seeds) + m.cascade(ps, mask, -1, s)
+}
+
+// base captures one profile's base fixed point (simpool.Rule.Base): the
+// active set and the frontier — the unique push targets that did not
+// activate — with their accumulated base in-weights.
+func (m *Model) base(seeds []int32, ps uint64, sh *simpool.Shard[float64], s *scratch) {
+	m.run(seeds, ps, nil, s)
+	for _, v := range s.pushNode {
+		s.Touch(v)
+	}
+	for _, v := range sh.Add(&s.Scratch) {
+		sh.Aux = append(sh.Aux, s.wIn[v])
+	}
+	s.reset()
+}
+
+// simulate is the rule's from-scratch simulation (simpool.Rule.Simulate).
+func (p *Pool) simulate(ps uint64, mask []bool, s *scratch) int {
+	n := p.run(p.Seeds(), ps, mask, s)
+	s.reset()
+	return n
 }
 
 // boostedInWeight recomputes node v's accumulated in-weight from the
 // currently active in-neighbors using the boosted probabilities — the
 // value v's frontier weight takes when v joins the boost set.
-func (p *Pool) boostedInWeight(v int32, s *evalScratch) float64 {
+func (m *Model) boostedInWeight(v int32, s *scratch) float64 {
 	var w float64
-	in := p.g.InFrom(v)
-	pb := p.g.InPBoost(v)
+	in := m.g.InFrom(v)
+	pb := m.g.InPBoost(v)
 	for j, u := range in {
-		if s.active[u] {
+		if s.Active[u] {
 			w += pb[j]
 		}
 	}
-	return w / p.m.norm[v]
+	return w / m.norm[v]
 }
 
-// baseActive / baseFront / baseFrontW / baseCount are CSR views of one
-// profile's cached base-world state.
-func (p *Pool) baseActive(pi int) []int32 {
-	return p.activeItems[p.activeStart[pi]:p.activeStart[pi+1]]
-}
-func (p *Pool) baseFront(pi int) []int32 {
-	return p.frontItems[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseFrontW(pi int) []float64 {
-	return p.frontW[p.frontStart[pi]:p.frontStart[pi+1]]
-}
-func (p *Pool) baseCount(pi int) int32 {
-	return p.activeStart[pi+1] - p.activeStart[pi]
-}
-
-// frontierProfiles returns the profiles whose base frontier contains v.
-func (p *Pool) frontierProfiles(v int32) []int32 {
-	return p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-}
-
-// ltShard is one worker's private Extend output: the base-world state
-// of a contiguous run of profiles, stored flat exactly like the pool's
-// arrays (local CSR offsets starting at 0). Shards cover ascending
-// profile ranges and are merged in range order with bulk appends, so
-// pool contents stay independent of scheduling and a shard costs O(1)
-// allocations instead of O(profiles × 3).
-type ltShard struct {
-	activeStart []int32 // len = profiles+1
-	activeItems []int32
-	frontStart  []int32 // len = profiles+1
-	frontItems  []int32
-	frontW      []float64
-}
-
-// Extend grows the pool to at least target profiles. Growth is
-// incremental: existing profiles and their cached fixed points are
-// untouched, only the shortfall is simulated (sharded across the
-// pool's workers into per-shard arenas, merged in profile order), and
-// the frontier index is merged in one pass.
-func (p *Pool) Extend(target int) {
-	// Ctx-less compat form; without a cancelable ctx or armed faults the
-	// context variant cannot fail.
-	_ = p.ExtendContext(context.Background(), target)
-}
-
-// ExtendContext is Extend with cooperative cancellation and shard-worker
-// panic containment. On any error — ctx canceled, injected fault, or a
-// worker panic (returned as *panicsafe.Error) — no shard is merged and
-// the pool rolls back to its exact pre-call state: the appended profile
-// seeds are truncated and the root RNG restored, so a retried call
-// draws the same seeds again and the final pool is bit-identical to one
-// built without interruption.
-func (p *Pool) ExtendContext(ctx context.Context, target int) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	need := target - len(p.profileSeed)
-	if need <= 0 {
-		return nil
-	}
-	from := len(p.profileSeed)
-	savedRoot := *p.root // for rollback: Uint64 draws below advance it
-	for i := 0; i < need; i++ {
-		p.profileSeed = append(p.profileSeed, p.root.Uint64())
-	}
-	shards := make([]ltShard, p.workers)
-	var wg sync.WaitGroup
-	var stop atomic.Bool // flipped on first failure so sibling shards bail early
-	errs := make([]error, p.workers)
-	chunk := (need + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= need {
-			break
-		}
-		hi := lo + chunk
-		if hi > need {
-			hi = need
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			err := panicsafe.Do(func() {
-				if e := faults.CheckContext(ctx, faults.PoolBuildShard); e != nil {
-					errs[w] = e
-					stop.Store(true)
-					return
-				}
-				s := p.getScratch()
-				defer p.putScratch(s)
-				sh := &shards[w]
-				sh.activeStart = append(sh.activeStart, 0)
-				sh.frontStart = append(sh.frontStart, 0)
-				for i := lo; i < hi; i++ {
-					if (i-lo)%cancelStride == 0 && (stop.Load() || ctx.Err() != nil) {
-						errs[w] = ctx.Err()
-						stop.Store(true)
-						return
-					}
-					p.simulateBaseInto(p.profileSeed[from+i], sh, s)
-				}
-			})
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	abort := ctx.Err()
-	for _, err := range errs {
-		if err != nil {
-			abort = err
-			break
-		}
-	}
-	if abort != nil {
-		p.profileSeed = p.profileSeed[:from]
-		*p.root = savedRoot
-		return abort
-	}
-
-	// Merge the shards in profile order: bulk-append the flat state,
-	// shifting the local CSR offsets. Trailing workers get no profiles
-	// when need is smaller than their chunk offset; their shards stay
-	// zero-valued and are skipped.
-	for w := range shards {
-		sh := &shards[w]
-		if len(sh.activeStart) == 0 {
-			continue
-		}
-		activeBase := int32(len(p.activeItems))
-		frontBase := int32(len(p.frontItems))
-		p.activeItems = append(p.activeItems, sh.activeItems...)
-		p.frontItems = append(p.frontItems, sh.frontItems...)
-		p.frontW = append(p.frontW, sh.frontW...)
-		for _, end := range sh.activeStart[1:] {
-			p.activeStart = append(p.activeStart, activeBase+end)
-		}
-		for _, end := range sh.frontStart[1:] {
-			p.frontStart = append(p.frontStart, frontBase+end)
-		}
-		p.baseSum += int64(len(sh.activeItems))
-	}
-
-	// Merge the frontier index: count the batch contribution per node,
-	// then interleave old and new posting lists in one O(old+new) pass.
-	n := p.g.N()
-	counts := make([]int32, n)
-	for w := range shards {
-		for _, v := range shards[w].frontItems {
-			counts[v]++
-		}
-	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + (p.idxStart[v+1] - p.idxStart[v]) + counts[v]
-	}
-	newItems := make([]int32, newStart[n])
-	next := counts // reuse as per-node write cursors
-	for v := 0; v < n; v++ {
-		old := p.idxItems[p.idxStart[v]:p.idxStart[v+1]]
-		copy(newItems[newStart[v]:], old)
-		next[v] = newStart[v] + int32(len(old))
-	}
-	for pi := from; pi < len(p.profileSeed); pi++ {
-		for _, v := range p.baseFront(pi) {
-			newItems[next[v]] = int32(pi)
-			next[v]++
-		}
-	}
-	p.idxStart, p.idxItems = newStart, newItems
-	p.generation++
-	return nil
-}
-
-// simulateBaseInto runs one profile's base-world (B = ∅) fixed point
-// and appends its cached state to sh: sorted active set, sorted
-// frontier with accumulated base in-weights.
-func (p *Pool) simulateBaseInto(ps uint64, sh *ltShard, s *evalScratch) {
-	p.simulate(ps, nil, s)
-	activeOff := len(sh.activeItems)
-	sh.activeItems = append(sh.activeItems, s.actNode...)
-	active := sh.activeItems[activeOff:]
-	slices.Sort(active)
-	sh.activeStart = append(sh.activeStart, int32(len(sh.activeItems)))
-	// Frontier: unique push targets that did not activate.
-	s.bumpTouchEpoch()
-	frontOff := len(sh.frontItems)
-	for _, v := range s.pushNode {
-		if s.active[v] || s.tstamp[v] == s.tepoch {
-			continue
-		}
-		s.tstamp[v] = s.tepoch
-		sh.frontItems = append(sh.frontItems, v)
-	}
-	front := sh.frontItems[frontOff:]
-	slices.Sort(front)
-	for _, v := range front {
-		sh.frontW = append(sh.frontW, s.wIn[v])
-	}
-	sh.frontStart = append(sh.frontStart, int32(len(sh.frontItems)))
-	s.reset()
-}
-
-// estimateParallelMin is the minimum number of profiles before batch
-// estimation fans out to the pool's workers; a variable so tests can
-// force the parallel path on small pools.
-var estimateParallelMin = 256
-
-// EstimateSpread returns the pooled estimate of the boosted-LT spread
-// σ̂(B) by incrementally evaluating boost from every profile's cached
-// base fixed point. It is deterministic for a fixed pool generation,
-// bit-exact across worker counts, and shares its possible worlds with
-// every other estimate from the same pool (common random numbers).
-func (p *Pool) EstimateSpread(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(len(p.profileSeed)), nil
-}
-
-// estimateCount returns Σ_i |active_i(B)|, the integer numerator of
-// the pooled spread estimate.
-func (p *Pool) estimateCount(boost []int32) (int64, error) {
-	R := len(p.profileSeed)
-	if R == 0 {
-		return 0, fmt.Errorf("lt: estimate on an empty pool (call Extend first)")
-	}
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		if v < 0 || int(v) >= p.g.N() {
-			return 0, fmt.Errorf("lt: boost node %d out of range [0,%d)", v, p.g.N())
-		}
-		mask[v] = true
-	}
-	// Dense boost list (deduplicated, sorted) for the per-profile pass.
-	var bset []int32
-	for v := int32(0); int(v) < p.g.N(); v++ {
-		if mask[v] {
-			bset = append(bset, v)
-		}
-	}
-
-	evalChunk := func(lo, hi int, s *evalScratch) int64 {
-		var sum int64
-		for pi := lo; pi < hi; pi++ {
-			sum += int64(p.baseCount(pi)) + int64(p.evalBoostSet(pi, bset, mask, s))
-		}
-		return sum
-	}
-	if R < estimateParallelMin || p.workers <= 1 {
-		s := p.getScratch()
-		defer p.putScratch(s)
-		return evalChunk(0, R, s), nil
-	}
-	sums := make([]int64, p.workers)
-	var wg sync.WaitGroup
-	chunk := (R + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= R {
-			break
-		}
-		hi := lo + chunk
-		if hi > R {
-			hi = R
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			sums[w] = evalChunk(lo, hi, s)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var total int64
-	for _, v := range sums {
-		total += v
-	}
-	return total, nil
-}
-
-// EstimateBoost returns the pooled estimate of the LT boost
-// Δ̂_S(B) = σ̂(B) − σ̂(∅). Both terms are evaluated on the same
-// threshold profiles, so the difference is coupled (far lower variance
-// than differencing two independent Monte-Carlo runs), exactly zero for
-// an empty or ineffective boost set, and — because the activation sums
-// are differenced as integers before dividing — bit-identical to the
-// estimate GreedyBoost reports for the same boost set.
-func (p *Pool) EstimateBoost(boost []int32) (float64, error) {
-	total, err := p.estimateCount(boost)
-	if err != nil {
-		return 0, err
-	}
-	return float64(total-p.baseSum) / float64(len(p.profileSeed)), nil
-}
-
-// evalBoostSet computes the marginal activations of boosting bset on
-// profile pi, starting from the cached base fixed point. The scratch is
-// left clean.
-func (p *Pool) evalBoostSet(pi int, bset []int32, mask []bool, s *evalScratch) int {
-	ps := p.profileSeed[pi]
-	s.loadState(p.baseActive(pi), p.baseFront(pi), p.baseFrontW(pi))
+// eval computes the marginal activations of boosting bset ∪ {extra} on
+// profile pi (simpool.Rule.Eval), starting from the cached base fixed
+// point. The scratch is left clean.
+func (p *Pool) eval(pi int, bset []int32, mask []bool, extra int32, s *scratch) int {
+	pr := p.Profile(pi)
+	s.load(pr.Active, pr.Front, pr.Aux)
 	// Phase 1: recompute every inactive boosted node's in-weight with
 	// the boosted probabilities, against the *base* active set only —
 	// interleaving with activation would double-count cascade pushes.
-	type bw struct {
-		v int32
-		w float64
-	}
-	var pend []bw
+	s.pend = s.pend[:0]
 	for _, b := range bset {
-		if s.active[b] {
-			continue
+		if !s.Active[b] {
+			s.pend = append(s.pend, pending{b, p.boostedInWeight(b, s)})
 		}
-		pend = append(pend, bw{b, p.boostedInWeight(b, s)})
+	}
+	if extra >= 0 && !s.Active[extra] {
+		s.pend = append(s.pend, pending{extra, p.boostedInWeight(extra, s)})
 	}
 	// Phase 2: install the recomputed weights, activate those at
 	// threshold, then run the cascade under the boost mask.
 	delta := 0
-	for _, e := range pend {
-		s.pushNode = append(s.pushNode, e.v)
-		s.pushPrev = append(s.pushPrev, s.wIn[e.v])
-		s.wIn[e.v] = e.w
-		if e.w >= theta(ps, e.v) {
-			s.active[e.v] = true
-			s.actNode = append(s.actNode, e.v)
-			s.queue = append(s.queue, e.v)
+	for _, e := range s.pend {
+		s.push(e.v, e.w)
+		if e.w >= theta(pr.Seed, e.v) {
+			s.Activate(e.v)
 			delta++
 		}
 	}
-	delta += p.runCascade(ps, mask, s)
+	delta += p.cascade(pr.Seed, mask, extra, s)
 	s.reset()
 	return delta
-}
-
-// estimateSpreadNaive re-simulates every profile from scratch under the
-// boost mask — the retained reference implementation the property tests
-// hold EstimateSpread to.
-func (p *Pool) estimateSpreadNaive(boost []int32) float64 {
-	mask := make([]bool, p.g.N())
-	for _, v := range boost {
-		mask[v] = true
-	}
-	s := p.getScratch()
-	defer p.putScratch(s)
-	var sum int64
-	for pi := range p.profileSeed {
-		sum += int64(p.simulate(p.profileSeed[pi], mask, s))
-		s.reset()
-	}
-	return float64(sum) / float64(len(p.profileSeed))
 }

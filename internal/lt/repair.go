@@ -1,9 +1,9 @@
 package lt
 
-// This file is the LT side of delta graph mutation: Pool.Repair
-// transitions a pool to a patched graph by re-running the cached base
-// fixed point only for the threshold profiles a delta could have
-// changed, copying every other profile's cached state by reference.
+// This file is the LT side of delta graph mutation: Pool.Repair moves a
+// pool to a patched graph through the kernel's Resample, re-running the
+// cached base fixed point only for the threshold profiles a delta could
+// have changed.
 //
 // A profile's base fixed point depends on the graph only through (a)
 // the out-edge lists of its active nodes — those are the only edges the
@@ -13,14 +13,14 @@ package lt
 // the profile seed, and profile seeds are drawn serially from the pool
 // root before any simulation, so they are graph-independent and survive
 // repair: a repaired pool is bit-identical to a cold pool built on the
-// patched graph at the same (seed, profiles), and future Extends of the
-// two pools stay identical because the root RNG state matches too.
+// patched graph at the same (seed, profiles).
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"github.com/kboost/kboost/internal/graph"
+	"github.com/kboost/kboost/internal/model/simpool"
 )
 
 // Repair transitions the pool from its current graph to g2 — the result
@@ -29,207 +29,39 @@ import (
 // profiles whose base cascade crossed a mutated edge list: those with
 // an active node in dirtyOut, or an active or frontier node in dirtyIn.
 //
-// touched reports how many profiles needed re-simulation. When the
-// touched share of the pool's total stored cascade size — each
-// profile's active-set plus frontier length, the quantity
-// re-simulation cost is proportional to — exceeds maxFrac
+// touched reports how many profiles needed re-simulation. When their
+// share of the pool's stored cascade size exceeds maxFrac
 // (0 < maxFrac <= 1), Repair declines without mutating the pool and
 // returns ok == false; the caller decides what to do with a declined
-// pool (the engine drops it and lets the next query rebuild cold).
-// Weighting by cascade size instead of profile count mirrors the PRR
-// repair fallback: on dense supercritical graphs the profiles a delta
-// touches are exactly the expensive ones, so an unweighted count
-// understates the repair bill.
+// pool (the engine drops it and lets the next query rebuild cold). See
+// simpool.Pool.Resample for the cost weighting. A failed repair — an
+// injected fault or a panic in a resampling shard — returns the error
+// and likewise leaves the pool exactly as it was.
 //
 // The node universe is fixed: g2 must have the same node count (deltas
 // mutate edges only). Growing the universe is a re-upload.
 func (p *Pool) Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64) (touched int, ok bool, err error) {
-	n := p.g.N()
-	if g2.N() != n {
-		return 0, false, fmt.Errorf("lt: repair changes node count %d -> %d", n, g2.N())
+	if len(dirtyOut) != g2.N() || len(dirtyIn) != g2.N() {
+		return 0, false, fmt.Errorf("lt: dirty masks have %d/%d entries, want %d", len(dirtyOut), len(dirtyIn), g2.N())
 	}
-	if len(dirtyOut) != n || len(dirtyIn) != n {
-		return 0, false, fmt.Errorf("lt: dirty masks have %d/%d entries, want %d", len(dirtyOut), len(dirtyIn), n)
-	}
-
-	R := len(p.profileSeed)
-	touchedMask := make([]bool, R)
-	perWorker := make([]int, p.workers)
-	perWorkerCost := make([]int64, p.workers)
-	chunk := (R + p.workers - 1) / p.workers
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= R {
-			break
-		}
-		hi := min(lo+chunk, R)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			c := 0
-			var cost int64
-			for pi := lo; pi < hi; pi++ {
-				hit := false
-				for _, v := range p.baseActive(pi) {
-					if dirtyOut[v] || dirtyIn[v] {
-						hit = true
-						break
-					}
-				}
-				if !hit {
-					for _, v := range p.baseFront(pi) {
-						if dirtyIn[v] {
-							hit = true
-							break
-						}
-					}
-				}
-				if hit {
-					touchedMask[pi] = true
-					c++
-					cost += int64(len(p.baseActive(pi)) + len(p.baseFront(pi)))
-				}
+	m2, seeds := New(g2), p.Seeds()
+	base := func(ps uint64, sh *simpool.Shard[float64], s *scratch) { m2.base(seeds, ps, sh, s) }
+	dirty := func(pr simpool.Profile[float64]) bool {
+		for _, v := range pr.Active {
+			if dirtyOut[v] || dirtyIn[v] {
+				return true
 			}
-			perWorker[w] = c
-			perWorkerCost[w] = cost
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var touchedCost int64
-	for w := range perWorker {
-		touched += perWorker[w]
-		touchedCost += perWorkerCost[w]
-	}
-	totalCost := int64(len(p.activeItems) + len(p.frontItems))
-	if totalCost > 0 && float64(touchedCost) > maxFrac*float64(totalCost) {
-		return touched, false, nil
-	}
-
-	// Swap in the patched graph and its recomputed normalizers before
-	// re-simulation; the old cached arrays stay intact as the copy
-	// source until the assembly below.
-	oldActiveStart, oldActiveItems := p.activeStart, p.activeItems
-	oldFrontStart, oldFrontItems, oldFrontW := p.frontStart, p.frontItems, p.frontW
-	p.g = g2
-	p.m = New(g2)
-
-	// Workers re-simulate only their touched profiles into per-worker
-	// shards. Untouched profiles are not staged anywhere: the assembly
-	// below copies their cached segments straight out of the old arrays,
-	// once. (An earlier version routed every profile — touched or not —
-	// through the shard buffers and then merged the shards, moving ~all
-	// of a pool's hundreds of megabytes twice per patch; the repair path
-	// is memmove-bound, so that second copy was its single largest cost.)
-	shards := make([]ltShard, p.workers)
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= R {
-			break
 		}
-		hi := min(lo+chunk, R)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			sh := &shards[w]
-			sh.activeStart = append(sh.activeStart, 0)
-			sh.frontStart = append(sh.frontStart, 0)
-			for pi := lo; pi < hi; pi++ {
-				if touchedMask[pi] {
-					p.simulateBaseInto(p.profileSeed[pi], sh, s)
-				}
+		for _, v := range pr.Front {
+			if dirtyIn[v] {
+				return true
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	// Exact-size the new arrays: untouched segments keep their old
-	// lengths, touched ones take their re-simulated shard lengths.
-	newActive := len(oldActiveItems)
-	newFront := len(oldFrontItems)
-	for pi := 0; pi < R; pi++ {
-		if touchedMask[pi] {
-			newActive -= int(oldActiveStart[pi+1] - oldActiveStart[pi])
-			newFront -= int(oldFrontStart[pi+1] - oldFrontStart[pi])
 		}
+		return false
 	}
-	for w := range shards {
-		newActive += len(shards[w].activeItems)
-		newFront += len(shards[w].frontItems)
+	touched, ok, err = p.Resample(context.TODO(), g2, base, dirty, maxFrac)
+	if ok {
+		p.Model = m2
 	}
-
-	activeStart := make([]int32, R+1)
-	activeItems := make([]int32, newActive)
-	frontStart := make([]int32, R+1)
-	frontItems := make([]int32, newFront)
-	frontW := make([]float64, newFront)
-
-	// Assemble in profile order. A maximal untouched run is contiguous
-	// in the old arrays, so it moves as one bulk copy; each touched
-	// profile comes from its worker's shard, consumed in range order.
-	shCur := make([]int, p.workers)
-	var aw, fw int32
-	for pi := 0; pi < R; {
-		if !touchedMask[pi] {
-			j := pi
-			for j < R && !touchedMask[j] {
-				j++
-			}
-			a0, a1 := oldActiveStart[pi], oldActiveStart[j]
-			copy(activeItems[aw:], oldActiveItems[a0:a1])
-			f0, f1 := oldFrontStart[pi], oldFrontStart[j]
-			copy(frontItems[fw:], oldFrontItems[f0:f1])
-			copy(frontW[fw:], oldFrontW[f0:f1])
-			da, df := aw-a0, fw-f0
-			for i := pi; i < j; i++ {
-				activeStart[i+1] = oldActiveStart[i+1] + da
-				frontStart[i+1] = oldFrontStart[i+1] + df
-			}
-			aw += a1 - a0
-			fw += f1 - f0
-			pi = j
-			continue
-		}
-		w := pi / chunk
-		sh := &shards[w]
-		k := shCur[w]
-		shCur[w]++
-		a0, a1 := sh.activeStart[k], sh.activeStart[k+1]
-		copy(activeItems[aw:], sh.activeItems[a0:a1])
-		aw += a1 - a0
-		activeStart[pi+1] = aw
-		f0, f1 := sh.frontStart[k], sh.frontStart[k+1]
-		copy(frontItems[fw:], sh.frontItems[f0:f1])
-		copy(frontW[fw:], sh.frontW[f0:f1])
-		fw += f1 - f0
-		frontStart[pi+1] = fw
-		pi++
-	}
-	p.activeStart, p.activeItems = activeStart, activeItems
-	p.frontStart, p.frontItems, p.frontW = frontStart, frontItems, frontW
-	p.baseSum = int64(newActive)
-
-	// Rebuild the frontier index in one counting pass.
-	counts := make([]int32, n)
-	for _, v := range p.frontItems {
-		counts[v]++
-	}
-	newStart := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		newStart[v+1] = newStart[v] + counts[v]
-	}
-	newItems := make([]int32, newStart[n])
-	next := counts // reuse as per-node write cursors
-	copy(next, newStart[:n])
-	for pi := 0; pi < R; pi++ {
-		for _, v := range p.baseFront(pi) {
-			newItems[next[v]] = int32(pi)
-			next[v]++
-		}
-	}
-	p.idxStart, p.idxItems = newStart, newItems
-	p.generation++
-	return touched, true, nil
+	return touched, ok, err
 }

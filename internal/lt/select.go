@@ -18,69 +18,19 @@ package lt
 //     now push boosted weight into it). Profiles where neither holds
 //     replay bit-identically under the grown boost set, so their gains
 //     are provably unchanged — the invariant the equivalence property
-//     tests pin against the naive reference below;
+//     tests pin against the naive reference;
 //   - re-evaluation is sharded across the pool's workers.
 //
-// greedyBoostNaive — full from-scratch re-simulation of every
-// (candidate, profile) pair per round — is retained as the behavioral
+// The kernel's GreedyBoostNaive — full from-scratch re-simulation of
+// every (candidate, profile) pair per round — is the behavioral
 // reference for the equivalence tests and the warm-selection benchmark.
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
-	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/maxcover"
 )
-
-// CandidateCap resolves a candidate-pool cap against the default used
-// by both greedy implementations: candCap < k falls back to 4k.
-func CandidateCap(k, candCap int) int {
-	if candCap < k {
-		return 4 * k
-	}
-	return candCap
-}
-
-// boostCandidates returns the greedy candidate pool: non-seed nodes
-// ordered by incoming boost gain Σ (p'−p) descending (ties toward the
-// smaller id), capped at CandidateCap(k, candCap).
-func boostCandidates(g *graph.Graph, seedMask []bool, k, candCap int) []int32 {
-	candCap = CandidateCap(k, candCap)
-	type nw struct {
-		v int32
-		w float64
-	}
-	pool := make([]nw, 0, g.N())
-	for v := int32(0); int(v) < g.N(); v++ {
-		if seedMask[v] {
-			continue
-		}
-		var wsum float64
-		p := g.InP(v)
-		pb := g.InPBoost(v)
-		for i := range p {
-			wsum += pb[i] - p[i]
-		}
-		pool = append(pool, nw{v, wsum})
-	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].w != pool[j].w {
-			return pool[i].w > pool[j].w
-		}
-		return pool[i].v < pool[j].v
-	})
-	if len(pool) > candCap {
-		pool = pool[:candCap]
-	}
-	out := make([]int32, len(pool))
-	for i, c := range pool {
-		out[i] = c.v
-	}
-	return out
-}
 
 // gainPair is one candidate's nonzero marginal gain on one profile.
 type gainPair struct {
@@ -113,77 +63,15 @@ type profEval struct {
 	frontAdds []int32 // nodes that entered the frontier with this pick
 }
 
-// ltReEvalParallelMin is the minimum number of profiles per evaluation
-// pass before it fans out to the pool's workers; a variable so tests
-// can force the parallel path on small pools.
-var ltReEvalParallelMin = 64
-
-// GreedyBoost greedily selects up to k boost nodes maximizing the
-// pooled LT boost estimate over the candidate pool (see
-// boostCandidates; candCap < k picks the 4k default). It returns the
-// chosen nodes in pick order and the pooled boost estimate Δ̂ of the
-// chosen set. Selection stops early when no candidate adds activations
-// in any profile. Like the underlying model it is a heuristic — no
-// approximation guarantee exists for boosted LT — but it returns
-// exactly what greedyBoostNaive would, bit-for-bit, at a fraction of
-// the simulations. Safe to run concurrently with other read-only pool
-// methods (not with Extend).
-func (p *Pool) GreedyBoost(k, candCap int) ([]int32, float64, error) {
-	return p.GreedyBoostContext(context.Background(), k, candCap)
-}
-
-// GreedyBoostContext is GreedyBoost with cooperative cancellation: the
-// CELF pick loop polls ctx once per chosen node, so a canceled request
-// stops within one profile re-evaluation round.
-func (p *Pool) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
-	if err := p.checkSelect(k); err != nil {
-		return nil, 0, err
-	}
-	return p.greedyBoost(ctx, k, boostCandidates(p.g, p.seedMask, k, candCap))
-}
-
-// GreedyBoostAmong is GreedyBoost over an explicit candidate list
-// instead of the in-weight-ranked default pool: only listed non-seed
-// nodes may be picked. Callers (the engine's tier-0 pre-filter) supply
-// a shortlist from a cheap closed-form ranking; out-of-range ids and
-// seeds are ignored.
-func (p *Pool) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
-	return p.GreedyBoostAmongContext(context.Background(), k, cands)
-}
-
-// GreedyBoostAmongContext is GreedyBoostAmong with cooperative
-// cancellation (see GreedyBoostContext).
-func (p *Pool) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
-	if err := p.checkSelect(k); err != nil {
-		return nil, 0, err
-	}
-	ok := make([]int32, 0, len(cands))
-	for _, v := range cands {
-		if v >= 0 && int(v) < p.g.N() && !p.seedMask[v] {
-			ok = append(ok, v)
-		}
-	}
-	return p.greedyBoost(ctx, k, ok)
-}
-
-// checkSelect validates a selection request against the pool.
-func (p *Pool) checkSelect(k int) error {
-	if k < 1 {
-		return fmt.Errorf("lt: k=%d must be >= 1", k)
-	}
-	if len(p.profileSeed) == 0 {
-		return fmt.Errorf("lt: selection on an empty pool (call Extend first)")
-	}
-	return nil
-}
-
-// greedyBoost is the shared CELF implementation over a resolved
-// candidate list.
-func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+// celf is the pool's selection (simpool.Rule.Select): the CELF greedy
+// over a resolved candidate list. It returns exactly what the kernel's
+// GreedyBoostNaive would for the same candidates, bit-for-bit, at a
+// fraction of the simulations.
+func (p *Pool) celf(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	R := len(p.profileSeed)
+	R := p.NumProfiles()
 	n := p.g.N()
 	candMask := make([]bool, n)
 	for _, v := range cands {
@@ -193,11 +81,8 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 
 	states := make([]queryState, R)
 	for pi := range states {
-		states[pi] = queryState{
-			active: p.baseActive(pi),
-			front:  p.baseFront(pi),
-			frontW: p.baseFrontW(pi),
-		}
+		pr := p.Profile(pi)
+		states[pi] = queryState{active: pr.Active, front: pr.Front, frontW: pr.Aux}
 	}
 
 	gain := make([]int32, n)
@@ -214,7 +99,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 		all[i] = int32(i)
 	}
 	p.evalProfilesInto(all, states, -1, chosenMask, candMask, evals)
-	curSum := p.baseSum
+	var curDelta int64 // Σ_profiles activations the picks added
 	for _, pi := range all {
 		st := &states[pi]
 		st.pairs, st.touch = evals[pi].pairs, evals[pi].touch
@@ -272,19 +157,21 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 		// eval pass's touch set. The base index plus the extra appends
 		// form a superset; membership is re-checked before inclusion.
 		affected = affected[:0]
-		for _, src := range [2][]int32{p.frontierProfiles(best), extra[best]} {
+		for _, src := range [2][]int32{p.FrontierProfiles(best), extra[best]} {
 			for _, pi := range src {
 				if profStamp[pi] == round {
 					continue
 				}
 				profStamp[pi] = round
 				st := &states[pi]
-				if containsSorted(st.front, best) || containsSorted(st.touch, best) {
+				_, inFront := slices.BinarySearch(st.front, best)
+				_, inTouch := slices.BinarySearch(st.touch, best)
+				if inFront || inTouch {
 					affected = append(affected, pi)
 				}
 			}
 		}
-		sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+		slices.Sort(affected)
 
 		p.evalProfilesInto(affected, states, best, chosenMask, candMask, evals)
 
@@ -297,7 +184,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 				gain[pr.v] -= pr.g
 			}
 			ev := &evals[pi]
-			curSum += int64(ev.delta)
+			curDelta += int64(ev.delta)
 			st.pairs, st.touch = ev.pairs, ev.touch
 			for _, pr := range st.pairs {
 				gain[pr.v] += pr.g
@@ -319,13 +206,7 @@ func (p *Pool) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, 
 			}
 		}
 	}
-	return chosen, float64(curSum-p.baseSum) / float64(R), nil
-}
-
-// containsSorted reports whether v is in the sorted slice s.
-func containsSorted(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
+	return chosen, float64(curDelta) / float64(R), nil
 }
 
 // evalProfilesInto runs evalProfile for each listed profile, sharded
@@ -334,76 +215,59 @@ func containsSorted(s []int32, v int32) bool {
 // a pure function of (profile state, pick, masks), so the output does
 // not depend on the sharding.
 func (p *Pool) evalProfilesInto(pis []int32, states []queryState, pick int32, chosenMask, candMask []bool, evals []profEval) {
-	if len(pis) < ltReEvalParallelMin || p.workers <= 1 {
-		s := p.getScratch()
-		defer p.putScratch(s)
-		for _, pi := range pis {
+	p.FanOut(len(pis), ltReEvalParallelMin, func(lo, hi int, s *scratch) {
+		for _, pi := range pis[lo:hi] {
 			evals[pi] = p.evalProfile(int(pi), &states[pi], pick, chosenMask, candMask, s)
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(pis) + p.workers - 1) / p.workers
-	for w := 0; w < p.workers; w++ {
-		lo := w * chunk
-		if lo >= len(pis) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(pis) {
-			hi = len(pis)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := p.getScratch()
-			defer p.putScratch(s)
-			for _, pi := range pis[lo:hi] {
-				evals[pi] = p.evalProfile(int(pi), &states[pi], pick, chosenMask, candMask, s)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 // evalProfile applies pick (if >= 0) to one profile's query state and
 // recomputes the profile's candidate gains and touch set. It mutates
 // st's slices by replacement only; the scratch is left clean.
-func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candMask []bool, s *evalScratch) profEval {
-	ps := p.profileSeed[pi]
-	s.loadState(st.active, st.front, st.frontW)
+//
+// The scratch's Touched log dedups both node sets: the loaded frontier
+// is touched first, then the pick's push targets (commitState), then
+// the nodes the candidate-gain cascades reach. So a gain pass's touch
+// set holds only nodes outside the current frontier and active set;
+// the affected-profile filter finds frontier members through the base
+// index and the frontAdds lists instead.
+func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candMask []bool, s *scratch) profEval {
+	ps := p.Profile(pi).Seed
+	s.load(st.active, st.front, st.frontW)
+	for _, v := range st.front {
+		s.Touch(v)
+	}
 	var ev profEval
 
-	if pick >= 0 && !s.active[pick] {
+	if pick >= 0 && !s.Active[pick] {
 		// The picked node's stored in-weight switches to the boosted
 		// probabilities; if that reaches its threshold, it activates and
 		// cascades. Modifications stay in the logs for the rebuild below.
 		wb := p.boostedInWeight(pick, s)
-		s.pushNode = append(s.pushNode, pick)
-		s.pushPrev = append(s.pushPrev, s.wIn[pick])
-		s.wIn[pick] = wb
+		s.push(pick, wb)
 		if wb >= theta(ps, pick) {
-			s.active[pick] = true
-			s.actNode = append(s.actNode, pick)
-			s.queue = append(s.queue, pick)
-			ev.delta = int32(1 + p.runCascade(ps, chosenMask, s))
+			s.Activate(pick)
+			ev.delta = int32(1 + p.cascade(ps, chosenMask, -1, s))
 		}
-		p.commitState(st, &ev, s)
+		commitState(st, &ev, s)
 	}
 
 	// Candidate gains over the (possibly rebuilt) frontier, collecting
 	// the union of nodes the tentative cascades touch.
-	s.bumpTouchEpoch()
+	mark := len(s.Touched)
 	for _, v := range st.front {
-		if !candMask[v] || chosenMask[v] || s.active[v] {
+		if !candMask[v] || chosenMask[v] || s.Active[v] {
 			continue
 		}
-		g := p.gainOf(ps, v, chosenMask, s, &ev.touch)
-		if g > 0 {
+		if g := p.gainOf(ps, v, chosenMask, s); g > 0 {
 			ev.pairs = append(ev.pairs, gainPair{v, g})
 		}
 	}
-	sort.Slice(ev.touch, func(i, j int) bool { return ev.touch[i] < ev.touch[j] })
+	if len(s.Touched) > mark {
+		ev.touch = slices.Clone(s.Touched[mark:])
+		slices.Sort(ev.touch)
+	}
 	s.reset()
 	return ev
 }
@@ -411,121 +275,58 @@ func (p *Pool) evalProfile(pi int, st *queryState, pick int32, chosenMask, candM
 // gainOf evaluates one candidate's marginal activations on the loaded
 // profile state: recompute its in-weight under the boosted
 // probabilities, tentatively activate and cascade if it reaches its
-// threshold, then roll the state back. Touched nodes are appended to
-// touch (deduplicated by the caller's tepoch).
-func (p *Pool) gainOf(ps uint64, v int32, inB []bool, s *evalScratch, touch *[]int32) int32 {
-	w := p.boostedInWeight(v, s)
-	if w < theta(ps, v) {
+// threshold, then roll the state back. The nodes the cascade pushed to
+// or activated are recorded with s.Touch.
+func (p *Pool) gainOf(ps uint64, v int32, inB []bool, s *scratch) int32 {
+	if p.boostedInWeight(v, s) < theta(ps, v) {
 		return 0
 	}
-	pushMark, actMark := len(s.pushNode), len(s.actNode)
-	s.active[v] = true
-	s.actNode = append(s.actNode, v)
-	s.queue = append(s.queue, v)
-	g := int32(1 + p.runCascade(ps, inB, s))
+	pushMark, actMark := len(s.pushNode), len(s.ActNode)
+	s.Activate(v)
+	g := int32(1 + p.cascade(ps, inB, -1, s))
 	for _, t := range s.pushNode[pushMark:] {
-		if s.tstamp[t] != s.tepoch {
-			s.tstamp[t] = s.tepoch
-			*touch = append(*touch, t)
-		}
+		s.Touch(t)
 	}
-	for _, t := range s.actNode[actMark:] {
-		if s.tstamp[t] != s.tepoch {
-			s.tstamp[t] = s.tepoch
-			*touch = append(*touch, t)
-		}
+	for _, t := range s.ActNode[actMark:] {
+		s.Touch(t)
 	}
 	s.rollback(pushMark, actMark)
 	return g
 }
 
 // commitState rebuilds st's active set and frontier from the scratch
-// modification logs after an applied pick, recording nodes that entered
-// the frontier in ev.frontAdds. The scratch keeps the committed state
-// loaded so candidate gains can be evaluated directly afterwards.
-func (p *Pool) commitState(st *queryState, ev *profEval, s *evalScratch) {
-	newActs := s.actNode
-	if len(newActs) > 0 {
-		merged := make([]int32, 0, len(st.active)+len(newActs))
+// after an applied pick, recording nodes that entered the frontier in
+// ev.frontAdds. The scratch keeps the committed state loaded so
+// candidate gains can be evaluated directly afterwards.
+func commitState(st *queryState, ev *profEval, s *scratch) {
+	if len(s.ActNode) > 0 {
+		merged := make([]int32, 0, len(st.active)+len(s.ActNode))
 		merged = append(merged, st.active...)
-		merged = append(merged, newActs...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+		merged = append(merged, s.ActNode...)
+		slices.Sort(merged)
 		st.active = merged
 	}
 
-	// New frontier: old frontier members plus push targets, minus
-	// activations, with weights read off the scratch.
-	s.bumpTouchEpoch()
-	oldFront := st.front
-	var front []int32
-	for _, v := range oldFront {
-		s.tstamp[v] = s.tepoch
-		if !s.active[v] {
-			front = append(front, v)
-		}
-	}
+	// New frontier: old frontier members (touched on load) plus the
+	// pick's push targets, minus activations, with weights read off the
+	// scratch.
 	for _, v := range s.pushNode {
-		if s.tstamp[v] == s.tepoch || s.active[v] {
+		s.Touch(v)
+	}
+	var front []int32
+	for i, v := range s.Touched {
+		if s.Active[v] {
 			continue
 		}
-		s.tstamp[v] = s.tepoch
 		front = append(front, v)
-		ev.frontAdds = append(ev.frontAdds, v)
+		if i >= len(st.front) {
+			ev.frontAdds = append(ev.frontAdds, v)
+		}
 	}
-	sort.Slice(front, func(i, j int) bool { return front[i] < front[j] })
+	slices.Sort(front)
 	frontW := make([]float64, len(front))
 	for j, v := range front {
 		frontW[j] = s.wIn[v]
 	}
 	st.front, st.frontW = front, frontW
-}
-
-// greedyBoostNaive is the retained reference implementation: each round
-// it re-simulates every profile from scratch for every remaining
-// candidate and takes the best (ties toward the smaller node id,
-// stopping when no candidate adds activations) — exactly the semantics
-// GreedyBoost reproduces incrementally. The equivalence property tests
-// and BenchmarkLTWarmBoost run it against the fast path.
-func (p *Pool) greedyBoostNaive(k, candCap int) ([]int32, float64, error) {
-	if k < 1 {
-		return nil, 0, fmt.Errorf("lt: k=%d must be >= 1", k)
-	}
-	R := len(p.profileSeed)
-	if R == 0 {
-		return nil, 0, fmt.Errorf("lt: selection on an empty pool (call Extend first)")
-	}
-	cands := append([]int32(nil), boostCandidates(p.g, p.seedMask, k, candCap)...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-
-	s := p.getScratch()
-	defer p.putScratch(s)
-	mask := make([]bool, p.g.N())
-	curSum := p.baseSum
-	var chosen []int32
-	for len(chosen) < k {
-		best := int32(-1)
-		bestSum := curSum
-		for _, v := range cands {
-			if mask[v] {
-				continue
-			}
-			mask[v] = true
-			var sum int64
-			for pi := range p.profileSeed {
-				sum += int64(p.simulate(p.profileSeed[pi], mask, s))
-				s.reset()
-			}
-			mask[v] = false
-			if sum > bestSum {
-				best, bestSum = v, sum
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chosen = append(chosen, best)
-		mask[best] = true
-		curSum = bestSum
-	}
-	return chosen, float64(curSum-p.baseSum) / float64(R), nil
 }

@@ -25,7 +25,7 @@ import (
 // against everything else; estimation and selection only read the pool
 // and may run concurrently with each other.
 type Pool struct {
-	*simpool.Pool[*scratch]
+	*simpool.Pool[*scratch, int32]
 	m        *Model
 	g        *graph.Graph
 	seedMask []bool // the kernel's seed mask, for the package's tests
@@ -44,7 +44,7 @@ var (
 func (m *Model) NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
 	p := &Pool{m: m, g: g}
 	n := g.N()
-	k, err := simpool.New(simpool.Rule[*scratch]{
+	k, err := simpool.New(simpool.Rule[*scratch, int32]{
 		Name:     "kthresh",
 		AuxWidth: 2, // live, boost-only exposure counts
 		NewScratch: func() *scratch {
@@ -161,7 +161,7 @@ func (p *Pool) simulate(ps uint64, mask []bool, s *scratch) int {
 // base captures one profile's base fixed point (simpool.Rule.Base): the
 // active set and the frontier with its live and boost-only exposure
 // counts.
-func (p *Pool) base(ps uint64, sh *simpool.Shard, s *scratch) {
+func (p *Pool) base(ps uint64, sh *simpool.Shard[int32], s *scratch) {
 	p.run(ps, nil, true, s)
 	front := sh.Add(&s.Scratch)
 	for _, v := range front {

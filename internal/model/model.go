@@ -16,14 +16,18 @@
 // express, so the engine wraps each family in a small plan of its own
 // rather than widening these interfaces.
 //
-// SIR and k-threshold share one pool kernel, model/simpool: profile
-// generation, flat base-world storage, the frontier index, estimation,
-// the parallel greedy and the tier-1 sampler. Each supplies only a
-// simpool.Rule — its per-profile cascade, base-world capture and
-// incremental boost evaluation — so a new percolation-style model is
-// one rule, called once per profile evaluation and never per edge. lt
-// keeps its own pool (CELF selection, in-weight state, in-place
-// repair).
+// All three share one pool kernel, model/simpool: profile generation
+// and resampling, flat base-world storage, the frontier index,
+// estimation, the candidate ranking and memory accounting. Each
+// supplies only a simpool.Rule — its per-profile cascade, base-world
+// capture and incremental boost evaluation — so a new
+// percolation-style model is one rule, called once per profile
+// evaluation and never per edge. sir and kthresh also take the
+// kernel's parallel greedy and tier-1 sampler, and their pools are
+// dropped and rebuilt on every patch. lt brings its own selection
+// (CELF over the kernel's cached views), keeps its Monte-Carlo tier-1
+// sampler, and repairs in place (a dirtiness predicate over the
+// kernel's Resample).
 //
 // Every implementation keeps the repo's hardening contract: pool
 // contents are a pure function of (seed, graph, seed set) independent
@@ -39,6 +43,7 @@ import (
 	"github.com/kboost/kboost/internal/graph"
 	"github.com/kboost/kboost/internal/lt"
 	"github.com/kboost/kboost/internal/model/kthresh"
+	"github.com/kboost/kboost/internal/model/simpool"
 	"github.com/kboost/kboost/internal/model/sir"
 )
 
@@ -99,9 +104,9 @@ type Pool interface {
 
 // Repairer is optionally implemented by pools that can migrate to a
 // patched graph in place (resampling only the profiles an edge delta
-// touched) instead of being dropped for a cold rebuild. The signature
-// matches lt.Pool.Repair; pools that do not implement it fall back to
-// rebuild on every patch.
+// touched) instead of being dropped for a cold rebuild. lt.Pool
+// implements it; pools that do not fall back to rebuild on every
+// patch.
 type Repairer interface {
 	Repair(g2 *graph.Graph, dirtyOut, dirtyIn []bool, maxFrac float64) (touched int, ok bool, err error)
 }
@@ -202,7 +207,7 @@ func (ltModel) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int, s
 
 func (ltModel) Tier0Norms(g *graph.Graph) ([]float64, bool) { return lt.New(g).Norms(), true }
 
-func (ltModel) CandidateCap(k, candCap int) int { return lt.CandidateCap(k, candCap) }
+func (ltModel) CandidateCap(k, candCap int) int { return simpool.CandidateCap(k, candCap) }
 
 // sirModel exposes model/sir behind the interface.
 type sirModel struct{ m *sir.Model }
@@ -224,7 +229,7 @@ func (s sirModel) EstimateSamples(g *graph.Graph, seeds, boost []int32, sims int
 // engine's tier floor for "sir" is therefore tier 1.
 func (s sirModel) Tier0Norms(*graph.Graph) ([]float64, bool) { return nil, false }
 
-func (s sirModel) CandidateCap(k, candCap int) int { return defaultCandidateCap(k, candCap) }
+func (s sirModel) CandidateCap(k, candCap int) int { return simpool.CandidateCap(k, candCap) }
 
 // kthreshModel exposes model/kthresh behind the interface.
 type kthreshModel struct{ m *kthresh.Model }
@@ -252,13 +257,4 @@ func (t kthreshModel) Tier0Norms(*graph.Graph) ([]float64, bool) {
 	return nil, false
 }
 
-func (t kthreshModel) CandidateCap(k, candCap int) int { return defaultCandidateCap(k, candCap) }
-
-// defaultCandidateCap mirrors lt.CandidateCap: candCap < k falls back
-// to 4k, the candidate budget every pooled greedy in this repo uses.
-func defaultCandidateCap(k, candCap int) int {
-	if candCap < k {
-		return 4 * k
-	}
-	return candCap
-}
+func (t kthreshModel) CandidateCap(k, candCap int) int { return simpool.CandidateCap(k, candCap) }

@@ -13,7 +13,7 @@ import (
 // cached base world. It is deterministic for a fixed pool generation,
 // bit-exact across worker counts, and shares its possible worlds with
 // every other estimate from the same pool (common random numbers).
-func (p *Pool[S]) EstimateSpread(boost []int32) (float64, error) {
+func (p *Pool[S, A]) EstimateSpread(boost []int32) (float64, error) {
 	total, err := p.estimateCount(boost)
 	if err != nil {
 		return 0, err
@@ -27,7 +27,7 @@ func (p *Pool[S]) EstimateSpread(boost []int32) (float64, error) {
 // ineffective boost set, and — because the activation sums are
 // differenced as integers before dividing — bit-identical to the
 // estimate GreedyBoost reports for the same boost set.
-func (p *Pool[S]) EstimateBoost(boost []int32) (float64, error) {
+func (p *Pool[S, A]) EstimateBoost(boost []int32) (float64, error) {
 	total, err := p.estimateCount(boost)
 	if err != nil {
 		return 0, err
@@ -39,7 +39,7 @@ func (p *Pool[S]) EstimateBoost(boost []int32) (float64, error) {
 // pooled spread estimate: the cached base sum plus the incremental
 // deltas of the profiles whose frontier intersects the boost set (no
 // other profile can change — see idxStart).
-func (p *Pool[S]) estimateCount(boost []int32) (int64, error) {
+func (p *Pool[S, A]) estimateCount(boost []int32) (int64, error) {
 	if len(p.profileSeed) == 0 {
 		return 0, fmt.Errorf("%s: estimate on an empty pool (call Extend first)", p.rule.Name)
 	}
@@ -64,13 +64,13 @@ func (p *Pool[S]) estimateCount(boost []int32) (int64, error) {
 // mergeFrontierProfiles returns the sorted, deduplicated union of base
 // (already sorted ascending) and the posting lists of each node in
 // vs — the profiles a boost over base's owners plus vs could change.
-func (p *Pool[S]) mergeFrontierProfiles(base []int32, vs []int32) []int32 {
+func (p *Pool[S, A]) mergeFrontierProfiles(base []int32, vs []int32) []int32 {
 	lists := make([][]int32, 0, len(vs)+1)
 	if len(base) > 0 {
 		lists = append(lists, base)
 	}
 	for _, v := range vs {
-		if pl := p.frontierProfiles(v); len(pl) > 0 {
+		if pl := p.FrontierProfiles(v); len(pl) > 0 {
 			lists = append(lists, pl)
 		}
 	}
@@ -114,7 +114,7 @@ func mergeSorted(lists [][]int32) []int32 {
 // the summed activation deltas, fanning out to the pool's workers for
 // large batches. Deltas are integers summed in any order, so the result
 // does not depend on the sharding.
-func (p *Pool[S]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
+func (p *Pool[S, A]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
 	evalChunk := func(lo, hi int, s S) int64 {
 		var sum int64
 		for _, pi := range profs[lo:hi] {
@@ -139,7 +139,7 @@ func (p *Pool[S]) sumDeltas(profs []int32, bset []int32, mask []bool) int64 {
 // fanOut splits [0, n) into one contiguous chunk per worker and runs f
 // on each chunk concurrently, with its own scratch; it returns when
 // every chunk is done.
-func (p *Pool[S]) fanOut(n int, f func(w, lo, hi int, s S)) {
+func (p *Pool[S, A]) fanOut(n int, f func(w, lo, hi int, s S)) {
 	var wg sync.WaitGroup
 	chunk := (n + p.workers - 1) / p.workers
 	for w := 0; w < p.workers; w++ {
@@ -158,10 +158,24 @@ func (p *Pool[S]) fanOut(n int, f func(w, lo, hi int, s S)) {
 	wg.Wait()
 }
 
+// FanOut runs f over [0, n) for a rule's own batch passes (lt's CELF
+// re-evaluation): on one scratch when n < minPar or the pool has one
+// worker, else split into one contiguous chunk per worker, each with
+// its own scratch. It returns when every chunk is done.
+func (p *Pool[S, A]) FanOut(n, minPar int, f func(lo, hi int, s S)) {
+	if n < minPar || p.workers <= 1 {
+		s := p.getScratch()
+		defer p.putScratch(s)
+		f(0, n, s)
+		return
+	}
+	p.fanOut(n, func(_, lo, hi int, s S) { f(lo, hi, s) })
+}
+
 // EstimateSpreadNaive re-simulates every profile from scratch under the
 // boost mask — the reference implementation EstimateSpread is
 // property-tested against.
-func (p *Pool[S]) EstimateSpreadNaive(boost []int32) float64 {
+func (p *Pool[S, A]) EstimateSpreadNaive(boost []int32) float64 {
 	mask := make([]bool, p.g.N())
 	for _, v := range boost {
 		mask[v] = true
@@ -186,7 +200,7 @@ func (p *Pool[S]) EstimateSpreadNaive(boost []int32) float64 {
 // pool. This is the engine's tier-1 estimator for the simulation
 // models; the sample vectors feed stats.Summarize for confidence
 // intervals.
-func (p *Pool[S]) EstimateSamples(boost []int32, sims int, seed uint64) (spread, delta []float64, err error) {
+func (p *Pool[S, A]) EstimateSamples(boost []int32, sims int, seed uint64) (spread, delta []float64, err error) {
 	mask := make([]bool, p.g.N())
 	for _, v := range boost {
 		if v < 0 || int(v) >= p.g.N() {

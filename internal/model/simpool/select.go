@@ -77,14 +77,14 @@ func CandidateCap(k, candCap int) int {
 // GreedyBoostNaive would, bit-for-bit, at a fraction of the
 // simulations. Safe to run concurrently with other read-only pool
 // methods (not with Extend).
-func (p *Pool[S]) GreedyBoost(k, candCap int) ([]int32, float64, error) {
+func (p *Pool[S, A]) GreedyBoost(k, candCap int) ([]int32, float64, error) {
 	return p.GreedyBoostContext(context.Background(), k, candCap)
 }
 
 // GreedyBoostContext is GreedyBoost with cooperative cancellation: the
 // greedy pick loop polls ctx once per round, so a canceled request
 // stops within one gain-evaluation sweep.
-func (p *Pool[S]) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
+func (p *Pool[S, A]) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}
@@ -96,13 +96,13 @@ func (p *Pool[S]) GreedyBoostContext(ctx context.Context, k, candCap int) ([]int
 // may be picked. Callers (the engine's tier-0 pre-filter) supply a
 // shortlist from a cheap closed-form ranking; out-of-range ids and
 // seeds are ignored.
-func (p *Pool[S]) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
+func (p *Pool[S, A]) GreedyBoostAmong(k int, cands []int32) ([]int32, float64, error) {
 	return p.GreedyBoostAmongContext(context.Background(), k, cands)
 }
 
 // GreedyBoostAmongContext is GreedyBoostAmong with cooperative
 // cancellation (see GreedyBoostContext).
-func (p *Pool[S]) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+func (p *Pool[S, A]) GreedyBoostAmongContext(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}
@@ -116,7 +116,7 @@ func (p *Pool[S]) GreedyBoostAmongContext(ctx context.Context, k int, cands []in
 }
 
 // checkSelect validates a selection request against the pool.
-func (p *Pool[S]) checkSelect(k int) error {
+func (p *Pool[S, A]) checkSelect(k int) error {
 	if k < 1 {
 		return fmt.Errorf("%s: k=%d must be >= 1", p.rule.Name, k)
 	}
@@ -126,8 +126,12 @@ func (p *Pool[S]) checkSelect(k int) error {
 	return nil
 }
 
-// greedyBoost is the exhaustive greedy over a resolved candidate list.
-func (p *Pool[S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+// greedyBoost is the exhaustive greedy over a resolved candidate list,
+// or the rule's own Select when it has one.
+func (p *Pool[S, A]) greedyBoost(ctx context.Context, k int, cands []int32) ([]int32, float64, error) {
+	if p.rule.Select != nil {
+		return p.rule.Select(ctx, k, cands)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -171,7 +175,7 @@ func (p *Pool[S]) greedyBoost(ctx context.Context, k int, cands []int32) ([]int3
 // posting lists, minus the chosen set's own delta. Each candidate is a
 // pure function of (pool, chosen, candidate), so the parallel fan-out
 // cannot change results.
-func (p *Pool[S]) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen []int32, curDelta int64, gains []int64) {
+func (p *Pool[S, A]) evalGains(cands, chosen []int32, chosenMask []bool, profsChosen []int32, curDelta int64, gains []int64) {
 	evalRange := func(lo, hi int, s S) {
 		for ci := lo; ci < hi; ci++ {
 			c := cands[ci]
@@ -202,7 +206,7 @@ func (p *Pool[S]) evalGains(cands, chosen []int32, chosenMask []bool, profsChose
 // toward the smaller node id, stopping when no candidate adds
 // activations) — exactly the semantics GreedyBoost reproduces
 // incrementally.
-func (p *Pool[S]) GreedyBoostNaive(k, candCap int) ([]int32, float64, error) {
+func (p *Pool[S, A]) GreedyBoostNaive(k, candCap int) ([]int32, float64, error) {
 	if err := p.checkSelect(k); err != nil {
 		return nil, 0, err
 	}

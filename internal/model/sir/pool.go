@@ -23,7 +23,7 @@ import (
 // else; estimation and selection only read the pool and may run
 // concurrently with each other.
 type Pool struct {
-	*simpool.Pool[*simpool.Scratch]
+	*simpool.Pool[*simpool.Scratch, int32]
 	m        *Model
 	g        *graph.Graph
 	seedMask []bool // the kernel's seed mask, for the package's tests
@@ -42,7 +42,7 @@ var (
 func (m *Model) NewPool(g *graph.Graph, seeds []int32, seed uint64, workers int) (*Pool, error) {
 	p := &Pool{m: m, g: g}
 	n := g.N()
-	k, err := simpool.New(simpool.Rule[*simpool.Scratch]{
+	k, err := simpool.New(simpool.Rule[*simpool.Scratch, int32]{
 		Name:                "sir",
 		NewScratch:          func() *simpool.Scratch { return simpool.NewScratch(n) },
 		Base:                p.base,
@@ -131,7 +131,7 @@ func (p *Pool) simulate(ps uint64, mask []bool, s *simpool.Scratch) int {
 
 // base captures one profile's base world (simpool.Rule.Base): the
 // infected set and the boost-only push targets that stayed inactive.
-func (p *Pool) base(ps uint64, sh *simpool.Shard, s *simpool.Scratch) {
+func (p *Pool) base(ps uint64, sh *simpool.Shard[int32], s *simpool.Scratch) {
 	p.run(ps, nil, true, s)
 	sh.Add(s)
 	s.Reset()

@@ -45,9 +45,13 @@ func LTGreedyBoost(g *Graph, seeds []int32, k, candCap int, opt LTOptions) ([]in
 //	spread, _ := pool.EstimateSpread(set)    // same profiles, coupled
 //
 // All pool estimates share possible worlds (common random numbers) and
-// are bit-identical regardless of the worker count. The Engine serves
-// this pool behind `mode:"lt"` boost and estimate queries, cached in
-// the same LRU as PRR pools.
+// are bit-identical regardless of the worker count. Storage, growth,
+// estimation and the resampling behind Repair come from the simulation
+// pool kernel the SIR and k-threshold modes share; LT adds its cascade,
+// the CELF selection and the dirtiness rule Repair resamples by. The
+// Engine serves this pool behind `mode:"lt"` boost and estimate
+// queries, cached in the same LRU as PRR pools, and repairs it in place
+// when a graph is patched.
 type LTPool = lt.Pool
 
 // NewLTPool creates an empty boosted-LT profile pool; grow it with
